@@ -35,22 +35,15 @@
 
 #include "daemon/Daemon.h"
 
-#include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 using namespace m2c;
 
 namespace {
-
-volatile std::sig_atomic_t TermRequested = 0;
-
-void onTerm(int) { TermRequested = 1; }
 
 int usage() {
   std::fprintf(stderr,
@@ -178,14 +171,7 @@ int main(int Argc, char **Argv) {
               Config.MaxConnections);
   std::fflush(stdout);
 
-  std::signal(SIGTERM, onTerm);
-  std::signal(SIGINT, onTerm);
-  // Belt and braces against peer resets: every daemon send already uses
-  // MSG_NOSIGNAL, but any other write to a dead client fd (stdio over a
-  // pipe, future code paths) must degrade to EPIPE, never kill the daemon.
-  std::signal(SIGPIPE, SIG_IGN);
-  while (!TermRequested)
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  net::waitForTermination();
 
   std::printf("m2cd: draining (finishing in-flight builds)\n");
   std::fflush(stdout);

@@ -7,12 +7,12 @@
 ///
 /// \file
 /// The multi-process scaling rung above the daemon (DESIGN.md §15): a
-/// coordinator that speaks the ordinary docs/PROTOCOL.md wire protocol
-/// to clients and relays every BUILD to one of N `m2cd -worker`
-/// processes over pooled upstream connections.  The farm protocol is a
+/// coordinator that relays every BUILD to one of N `m2cd -worker`
+/// processes over pooled upstream connections.  It is the relay backend
+/// of the same net::Server front door the daemon uses, so the farm is a
 /// composition layer, not a new protocol — a client cannot tell a
 /// coordinator from a daemon (same frames, same invariants, same
-/// exactly-one-BUILD_RESULT guarantee).
+/// deadlines, same exactly-one-BUILD_RESULT guarantee).
 ///
 /// Routing: requests shard by module-graph affinity — a hash of the
 /// request's sorted root set, which over one shared workspace uniquely
@@ -38,10 +38,8 @@
 
 #include "farm/WorkerProcess.h"
 #include "net/ClientPool.h"
-#include "net/Protocol.h"
 #include "net/RemoteClient.h"
-#include "net/Socket.h"
-#include "support/Statistic.h"
+#include "net/Server.h"
 
 #include <atomic>
 #include <condition_variable>
@@ -55,12 +53,9 @@
 
 namespace m2c::farm {
 
-/// Everything configurable about one coordinator.
-struct FarmConfig {
-  std::string UnixSocketPath; ///< Empty: no unix listener.
-  bool EnableTcp = false;
-  uint16_t TcpPort = 0; ///< 0 with EnableTcp: ephemeral (see tcpPort()).
-
+/// Everything configurable about one coordinator, beyond where it
+/// listens.
+struct FarmConfig : net::ListenConfig {
   unsigned Workers = 2; ///< Worker process count (the farm's N).
   /// The fixed worker unit: every worker runs this spec; the
   /// coordinator fills SocketPath per worker under WorkerDir.
@@ -94,10 +89,10 @@ struct FarmConfig {
 /// pools, and all protocol threads.  A library class for the same
 /// reason Daemon is: tests and benches run farms in-process against
 /// real sockets and real worker processes.
-class Farm {
+class Farm : private net::Server::Backend {
 public:
   Farm(FarmConfig Config);
-  ~Farm();
+  ~Farm() override;
   Farm(const Farm &) = delete;
   Farm &operator=(const Farm &) = delete;
 
@@ -109,9 +104,9 @@ public:
   /// Enters drain: refuse new connections and BUILDs, finish in-flight
   /// relays.  Workers keep running — they are what finishes the
   /// in-flight work.  Idempotent.
-  void requestDrain();
+  void requestDrain() { Front.requestDrain(); }
 
-  bool draining() const { return Draining.load(std::memory_order_relaxed); }
+  bool draining() const { return Front.draining(); }
 
   /// Drains, waits for every in-flight relay's reply, tears down the
   /// protocol threads, then cascades SIGTERM to the workers and reaps
@@ -119,7 +114,7 @@ public:
   void stop();
 
   /// The TCP listener's bound port (after start()); 0 if TCP is off.
-  uint16_t tcpPort() const { return TcpPortBound; }
+  uint16_t tcpPort() const { return Front.tcpPort(); }
 
   unsigned workerCount() const { return static_cast<unsigned>(Slots.size()); }
   std::string workerAddress(unsigned I) const;
@@ -145,25 +140,6 @@ public:
                                 unsigned N);
 
 private:
-  struct RelayState;
-
-  struct Connection {
-    net::Socket Sock;
-    std::mutex WriteM;
-    std::atomic<bool> ReaderDone{false};
-    std::mutex ReqM;
-    std::map<uint64_t, std::shared_ptr<RelayState>> InFlight;
-  };
-
-  /// One in-flight client BUILD being relayed.  Whoever flips Replied
-  /// first owns the one BUILD_RESULT (same invariant as the daemon).
-  struct RelayState {
-    uint64_t Id = 0;
-    std::shared_ptr<Connection> Conn;
-    std::atomic<bool> Replied{false};
-    std::atomic<bool> Abandoned{false};
-  };
-
   /// One worker slot: the process (respawned in place), its connection
   /// pool (address never changes), and its load.
   struct WorkerSlot {
@@ -175,16 +151,17 @@ private:
   };
 
   bool spawnWorker(WorkerSlot &Slot, std::string &Err);
+  /// SIGKILLs and reaps every worker still running: after a failed
+  /// start, and after stop()'s SIGTERM grace period.
+  void killWorkers();
   void healthLoop();
 
-  void acceptLoop(net::Listener &L);
-  void serveConnection(std::shared_ptr<Connection> Conn);
-  bool handshake(Connection &Conn);
-  void handleBuild(const std::shared_ptr<Connection> &Conn,
-                   net::BuildRequestMsg Msg);
-  void relay(std::shared_ptr<RelayState> State, net::BuildRequestMsg Msg);
-  void handleCancel(const std::shared_ptr<Connection> &Conn,
-                    const net::CancelMsg &Msg);
+  /// Relays one admitted BUILD: the routed worker over its pool, then
+  /// failover across the siblings.
+  void build(net::Server::Request &R, net::BuildRequestMsg Msg) override;
+  std::map<std::string, uint64_t> stats() override {
+    return aggregatedStats();
+  }
 
   /// Picks the worker for a fresh relay: the affinity shard unless its
   /// in-flight load is at SpillThreshold and a strictly less loaded
@@ -192,13 +169,7 @@ private:
   /// which path was taken.
   unsigned routeWorker(unsigned Shard, bool &Spilled);
 
-  bool tryReply(RelayState &S, const net::BuildResultMsg &M,
-                const char *Counter);
-  void sendFrame(Connection &Conn, const net::Frame &F);
-  void reapRelayThreads(bool All);
-
   const FarmConfig Config;
-  StatisticSet FarmStats;
 
   std::vector<std::unique_ptr<WorkerSlot>> Slots;
   std::thread HealthThread;
@@ -206,23 +177,10 @@ private:
   std::mutex HealthM;                ///< Pairs with HealthCv only.
   std::condition_variable HealthCv;  ///< Wakes healthLoop() on stop().
 
-  net::Listener UnixListener, TcpListener;
-  uint16_t TcpPortBound = 0;
-  std::vector<std::thread> AcceptThreads;
-
-  std::atomic<bool> Draining{false};
-  std::atomic<bool> Stopping{false};
   bool Started = false, Stopped = false;
 
-  std::mutex ConnsM;
-  std::vector<std::pair<std::shared_ptr<Connection>, std::thread>> Conns;
-  std::atomic<unsigned> ActiveConns{0};
-
-  std::atomic<unsigned> PendingRelays{0};
-  std::mutex RelaysM;
-  std::condition_variable RelaysCv;
-  std::vector<std::pair<std::shared_ptr<std::atomic<bool>>, std::thread>>
-      RelayThreads;
+  /// Last member: destroyed (and so stopped) before the worker slots.
+  net::Server Front;
 };
 
 } // namespace m2c::farm

@@ -98,17 +98,7 @@ WorkerProcess::~WorkerProcess() {
   }
 }
 
-bool WorkerProcess::alive() {
-  if (Pid <= 0 || Reaped)
-    return false;
-  int St = 0;
-  pid_t R = ::waitpid(Pid, &St, WNOHANG);
-  if (R == Pid) {
-    Reaped = true;
-    return false;
-  }
-  return true;
-}
+bool WorkerProcess::alive() { return !waitExit(0).has_value(); }
 
 void WorkerProcess::terminate() {
   if (Pid > 0 && !Reaped)

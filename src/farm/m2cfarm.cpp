@@ -34,19 +34,12 @@
 
 #include "farm/Farm.h"
 
-#include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
 using namespace m2c;
 
 namespace {
-
-volatile std::sig_atomic_t TermRequested = 0;
-
-void onTerm(int) { TermRequested = 1; }
 
 int usage() {
   std::fprintf(stderr,
@@ -137,11 +130,7 @@ int main(int Argc, char **Argv) {
               Config.Worker.CacheDir.c_str());
   std::fflush(stdout);
 
-  std::signal(SIGTERM, onTerm);
-  std::signal(SIGINT, onTerm);
-  std::signal(SIGPIPE, SIG_IGN);
-  while (!TermRequested)
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  net::waitForTermination();
 
   std::printf("m2cfarm: draining (finishing in-flight relays)\n");
   std::fflush(stdout);

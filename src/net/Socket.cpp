@@ -28,6 +28,19 @@ std::string errnoText(const char *What) {
   return std::string(What) + ": " + std::strerror(errno);
 }
 
+/// Fills \p Addr for the unix-domain socket \p Path; false if the path
+/// does not fit sun_path.
+bool unixAddress(const std::string &Path, sockaddr_un &Addr,
+                 std::string &Err) {
+  Addr.sun_family = AF_UNIX;
+  if (Path.size() >= sizeof(Addr.sun_path)) {
+    Err = "socket path too long: " + Path;
+    return false;
+  }
+  std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
+  return true;
+}
+
 } // namespace
 
 //===--- Socket ------------------------------------------------------------===//
@@ -43,12 +56,8 @@ Socket &Socket::operator=(Socket &&O) noexcept {
 
 Socket Socket::connectUnix(const std::string &Path, std::string &Err) {
   sockaddr_un Addr{};
-  Addr.sun_family = AF_UNIX;
-  if (Path.size() >= sizeof(Addr.sun_path)) {
-    Err = "socket path too long: " + Path;
+  if (!unixAddress(Path, Addr, Err))
     return Socket();
-  }
-  std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
   int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (Fd < 0) {
     Err = errnoText("socket");
@@ -199,11 +208,7 @@ void Socket::close() {
 
 Listener::~Listener() { close(); }
 
-Listener::Listener(Listener &&O) noexcept
-    : Fd(O.Fd), Port(O.Port), UnixPath(std::move(O.UnixPath)) {
-  O.Fd = -1;
-  O.UnixPath.clear();
-}
+Listener::Listener(Listener &&O) noexcept { *this = std::move(O); }
 
 Listener &Listener::operator=(Listener &&O) noexcept {
   if (this != &O) {
@@ -220,12 +225,8 @@ Listener &Listener::operator=(Listener &&O) noexcept {
 Listener Listener::unixDomain(const std::string &Path, std::string &Err) {
   Listener L;
   sockaddr_un Addr{};
-  Addr.sun_family = AF_UNIX;
-  if (Path.size() >= sizeof(Addr.sun_path)) {
-    Err = "socket path too long: " + Path;
+  if (!unixAddress(Path, Addr, Err))
     return L;
-  }
-  std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
   int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (Fd < 0) {
     Err = errnoText("socket");

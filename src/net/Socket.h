@@ -9,9 +9,9 @@
 /// Thin RAII wrappers over POSIX stream sockets — unix-domain and TCP —
 /// plus whole-frame send/receive in the PROTOCOL.md §2 layout.  Nothing
 /// here knows message semantics; that lives in Protocol.h (encoding) and
-/// daemon/Daemon.cpp / net/RemoteClient.cpp (behaviour).
+/// net/Server.cpp / net/RemoteClient.cpp (behaviour).
 ///
-/// Blocking I/O throughout: the daemon dedicates a thread per connection
+/// Blocking I/O throughout: the server dedicates a thread per connection
 /// and a poll()-based accept loop, the client is synchronous by design.
 /// SIGPIPE is avoided with MSG_NOSIGNAL, so neither side needs a global
 /// signal disposition.
@@ -71,7 +71,7 @@ public:
   RecvStatus recvFrame(Frame &F, uint32_t MaxBytes = MaxFrameBytes);
 
   /// shutdown(2) both directions: any thread blocked in recv on this
-  /// socket wakes with EOF.  Used by the daemon to unblock connection
+  /// socket wakes with EOF.  Used by the server to unblock connection
   /// readers at stop.
   void shutdownBoth();
 
@@ -107,7 +107,7 @@ public:
   enum class AcceptStatus { Accepted, TimedOut, Error };
 
   /// Waits up to \p TimeoutMs for a connection; on Accepted, \p Out is
-  /// the connected socket.  The timeout is what lets the daemon's accept
+  /// the connected socket.  The timeout is what lets the server's accept
   /// loop notice stop/drain flags.
   AcceptStatus acceptFor(int TimeoutMs, Socket &Out);
 

@@ -38,6 +38,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -71,20 +72,21 @@ struct ServiceConfig {
 
 /// Cooperative abandonment of one submitted request, for callers (the
 /// network daemon) that answer a client before the build machinery is
-/// done with the request.  Once abandon() is called, submit() returns an
-/// Aborted result at its next checkpoint — after queue admission, after
-/// discovery, after module locking — instead of compiling.  A build past
-/// its last checkpoint runs to completion (its result is simply
-/// discarded by the caller); mid-build preemption is deliberately not
-/// offered, because a half-run session would have to unwind shared
-/// interface state.  See DESIGN.md §11.
+/// done with the request.  Once the predicate reports it abandoned,
+/// submit() returns an Aborted result at its next checkpoint — after
+/// queue admission, after discovery, after module locking — instead of
+/// compiling.  A build past its last checkpoint runs to completion (its
+/// result is simply discarded by the caller); mid-build preemption is
+/// deliberately not offered, because a half-run session would have to
+/// unwind shared interface state.  See DESIGN.md §11.
 class RequestControl {
 public:
-  void abandon() { Abandoned.store(true, std::memory_order_relaxed); }
-  bool abandoned() const { return Abandoned.load(std::memory_order_relaxed); }
+  explicit RequestControl(std::function<bool()> Abandoned)
+      : Abandoned(std::move(Abandoned)) {}
+  bool abandoned() const { return Abandoned(); }
 
 private:
-  std::atomic<bool> Abandoned{false};
+  std::function<bool()> Abandoned;
 };
 
 /// The long-lived service.  Thread-safe: submit() may be called from any

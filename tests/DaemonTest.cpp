@@ -11,13 +11,17 @@
 //
 // All tests run the Daemon in-process against real unix-domain (and one
 // TCP) sockets; determinism for the shed/cancel/drain races comes from
-// DaemonConfig::OnBuildStart holding build threads on a gate.
+// DaemonConfig::OnBuildStart holding build threads on a gate.  The
+// front-door cases (FrontDoorTest) run twice: against a daemon, and
+// against a 1-worker farm coordinator, which answers through the same
+// net::Server and must answer alike.
 //
 //===----------------------------------------------------------------------===//
 
 #include "build/BuildSession.h"
 #include "codegen/ObjectFile.h"
 #include "daemon/Daemon.h"
+#include "farm/Farm.h"
 #include "net/Protocol.h"
 #include "net/RemoteClient.h"
 #include "net/Socket.h"
@@ -29,7 +33,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -130,14 +136,14 @@ struct DaemonFixture {
     return It == Stats.end() ? 0 : It->second;
   }
 
-  /// Polls the daemon's counters until \p Name reaches \p AtLeast; the
-  /// net.* side of some events (e.g. a truncated frame) is recorded by
-  /// the reader thread after the client already observed the TCP-level
-  /// effect.
-  static bool waitForCounter(daemon::Daemon &D, const std::string &Name,
-                             uint64_t AtLeast) {
+  /// Polls \p Snapshot until counter \p Name reaches \p AtLeast; some
+  /// events (e.g. a truncated frame) are counted by the reader thread
+  /// after the client already observed their TCP-level effect.
+  static bool waitForCounter(
+      const std::function<std::map<std::string, uint64_t>()> &Snapshot,
+      const std::string &Name, uint64_t AtLeast) {
     for (int I = 0; I < 500; ++I) {
-      if (stat(D.statsSnapshot(), Name) >= AtLeast)
+      if (stat(Snapshot(), Name) >= AtLeast)
         return true;
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
@@ -350,14 +356,108 @@ TEST(DaemonTest, BuildFailureCarriesStandaloneDiagnostics) {
   Server.stop();
 }
 
-//===--- Malformed input ---------------------------------------------------===//
+//===--- The front door, daemon and farm alike -----------------------------===//
 
-TEST(DaemonTest, VersionMismatchIsRefused) {
+/// The server behind each front-door test, by parameter: an in-process
+/// daemon, or a 1-worker farm coordinator relaying to a real m2cd
+/// process.  Both answer through the one net::Server, so the handshake,
+/// frame-level and cancel answers must be the same; only the counter
+/// prefix differs.
+class FrontDoorTest : public ::testing::TestWithParam<std::string> {
+protected:
+  ~FrontDoorTest() override {
+    Hold.open(); // A failed assertion must not leave stop() waiting.
+    Daemon.reset();
+    Farm.reset();
+    std::error_code EC;
+    std::filesystem::remove_all(F.SocketPath + ".d", EC);
+  }
+
+  bool isFarm() const { return GetParam() == "farm"; }
+
+  /// Starts the server.  \p HoldFirstBuild parks the first BUILD: on
+  /// the daemon's gate until release(), inside the farm's worker process
+  /// for a second (an injected delay).
+  void start(bool HoldFirstBuild = false) {
+    std::string Err;
+    if (!isFarm()) {
+      daemon::DaemonConfig Config = F.config();
+      if (HoldFirstBuild)
+        Config.OnBuildStart = [this](uint64_t) {
+          if (Started.fetch_add(1) == 0)
+            Hold.wait();
+        };
+      Daemon = std::make_unique<daemon::Daemon>(F.Files, F.Interner, Config);
+      ASSERT_TRUE(Daemon->start(Err)) << Err;
+      return;
+    }
+    farm::FarmConfig Config;
+    Config.UnixSocketPath = F.SocketPath;
+    Config.Workers = 1;
+    Config.Worker.Workspace = F.SocketPath + ".d"; // Builds push sources.
+    Config.Worker.Jobs = 1;
+    if (HoldFirstBuild)
+      Config.Worker.Env = {{"M2C_FAULTS", "daemon.build=delay:1000ms@1"}};
+    Farm = std::make_unique<farm::Farm>(Config);
+    ASSERT_TRUE(Farm->start(Err)) << Err;
+  }
+
+  /// Waits until the held first BUILD is parked.  A farm's needs no
+  /// wait: its worker holds it for a second, far longer than the
+  /// coordinator takes to read the frames the test sends after it.
+  void awaitHeld() {
+    while (!isFarm() && Started.load() == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  void release() { Hold.open(); }
+
+  void stop() {
+    if (Daemon)
+      Daemon->stop();
+    if (Farm)
+      Farm->stop();
+  }
+
+  std::map<std::string, uint64_t> stats() {
+    return Daemon ? Daemon->statsSnapshot() : Farm->statsSnapshot();
+  }
+
+  /// This server's own counter \p Name: "net.<Name>" or "farm.<Name>".
+  std::string name(const std::string &Name) const {
+    return (isFarm() ? "farm." : "net.") + Name;
+  }
+  uint64_t counter(const std::string &Name) {
+    return DaemonFixture::stat(stats(), name(Name));
+  }
+  bool waitForCounter(const std::string &Name, uint64_t AtLeast) {
+    return DaemonFixture::waitForCounter([this] { return stats(); },
+                                         name(Name), AtLeast);
+  }
+
+  /// A BUILD of a one-line module pushed inline, so that a farm's worker
+  /// process sees the same source as the in-process daemon.
+  static net::BuildRequestMsg tinyBuild(net::RemoteClient &Client) {
+    net::BuildRequestMsg Req;
+    Req.RequestId = Client.nextRequestId();
+    Req.Roots = {"Tiny"};
+    Req.Files = {{"Tiny.mod", "MODULE Tiny; BEGIN END Tiny.\n"}};
+    return Req;
+  }
+
   DaemonFixture F;
-  daemon::Daemon Server(F.Files, F.Interner, F.config());
-  std::string Err;
-  ASSERT_TRUE(Server.start(Err)) << Err;
+  Gate Hold;
+  std::atomic<int> Started{0};
+  std::unique_ptr<daemon::Daemon> Daemon;
+  std::unique_ptr<farm::Farm> Farm;
+};
 
+INSTANTIATE_TEST_SUITE_P(Server, FrontDoorTest,
+                         ::testing::Values("daemon", "farm"),
+                         [](const auto &Info) { return Info.param; });
+
+TEST_P(FrontDoorTest, VersionMismatchIsRefused) {
+  start();
+  std::string Err;
   net::Socket S = net::Socket::connectUnix(F.SocketPath, Err);
   ASSERT_TRUE(S.valid()) << Err;
   ASSERT_TRUE(S.sendFrame(net::encode(net::HelloMsg{99, 99})));
@@ -367,17 +467,14 @@ TEST(DaemonTest, VersionMismatchIsRefused) {
   net::ErrorMsg E;
   ASSERT_TRUE(net::decode(Reply, E));
   EXPECT_EQ(E.St, net::Status::UnsupportedVersion);
-  // The daemon hangs up after the refusal.
+  // The server hangs up after the refusal.
   EXPECT_EQ(S.recvFrame(Reply), net::Socket::RecvStatus::Closed);
-  Server.stop();
+  stop();
 }
 
-TEST(DaemonTest, FirstFrameMustBeHello) {
-  DaemonFixture F;
-  daemon::Daemon Server(F.Files, F.Interner, F.config());
+TEST_P(FrontDoorTest, FirstFrameMustBeHello) {
+  start();
   std::string Err;
-  ASSERT_TRUE(Server.start(Err)) << Err;
-
   net::Socket S = net::Socket::connectUnix(F.SocketPath, Err);
   ASSERT_TRUE(S.valid()) << Err;
   ASSERT_TRUE(S.sendFrame(net::encodePing(1)));
@@ -386,16 +483,12 @@ TEST(DaemonTest, FirstFrameMustBeHello) {
   net::ErrorMsg E;
   ASSERT_TRUE(net::decode(Reply, E));
   EXPECT_EQ(E.St, net::Status::Malformed);
-  Server.stop();
+  EXPECT_TRUE(waitForCounter("frames.malformed", 1));
+  stop();
 }
 
-TEST(DaemonTest, TruncatedFrameIsCountedAndIsolated) {
-  DaemonFixture F;
-  F.Files.addFile("Tiny.mod", "MODULE Tiny; BEGIN END Tiny.\n");
-  daemon::Daemon Server(F.Files, F.Interner, F.config());
-  std::string Err;
-  ASSERT_TRUE(Server.start(Err)) << Err;
-
+TEST_P(FrontDoorTest, TruncatedFrameIsCountedAndIsolated) {
+  start();
   {
     net::Socket S = F.rawHandshake();
     // Announce a 100-byte PING, deliver only 3 bytes, hang up mid-frame.
@@ -404,27 +497,21 @@ TEST(DaemonTest, TruncatedFrameIsCountedAndIsolated) {
     ASSERT_TRUE(S.sendAll(Partial.data(), Partial.size()));
     S.close();
   }
-  EXPECT_TRUE(F.waitForCounter(Server, "net.frames.truncated", 1));
+  EXPECT_TRUE(waitForCounter("frames.truncated", 1));
 
   // The damage is confined to that connection: a well-behaved client on a
   // fresh one still builds.
+  std::string Err;
   auto Client = net::RemoteClient::open(F.SocketPath, Err);
   ASSERT_NE(Client, nullptr) << Err;
-  net::BuildRequestMsg Req;
-  Req.RequestId = Client->nextRequestId();
-  Req.Roots = {"Tiny"};
   net::BuildResultMsg Result;
-  ASSERT_TRUE(Client->build(Req, Result, Err)) << Err;
+  ASSERT_TRUE(Client->build(tinyBuild(*Client), Result, Err)) << Err;
   EXPECT_EQ(Result.St, net::Status::Ok) << Result.Diagnostics;
-  Server.stop();
+  stop();
 }
 
-TEST(DaemonTest, OversizedFrameIsRefused) {
-  DaemonFixture F;
-  daemon::Daemon Server(F.Files, F.Interner, F.config());
-  std::string Err;
-  ASSERT_TRUE(Server.start(Err)) << Err;
-
+TEST_P(FrontDoorTest, OversizedFrameIsRefused) {
+  start();
   net::Socket S = F.rawHandshake();
   // A length prefix past the 64 MiB cap; no payload need follow.
   uint32_t Huge = net::MaxFrameBytes + 1;
@@ -439,16 +526,12 @@ TEST(DaemonTest, OversizedFrameIsRefused) {
   ASSERT_TRUE(net::decode(Reply, E));
   EXPECT_EQ(E.St, net::Status::FrameTooLarge);
   EXPECT_EQ(S.recvFrame(Reply), net::Socket::RecvStatus::Closed);
-  EXPECT_TRUE(F.waitForCounter(Server, "net.frames.toolarge", 1));
-  Server.stop();
+  EXPECT_TRUE(waitForCounter("frames.toolarge", 1));
+  stop();
 }
 
-TEST(DaemonTest, UnknownMessageTypeKeepsConnectionUsable) {
-  DaemonFixture F;
-  daemon::Daemon Server(F.Files, F.Interner, F.config());
-  std::string Err;
-  ASSERT_TRUE(Server.start(Err)) << Err;
-
+TEST_P(FrontDoorTest, UnknownMessageTypeKeepsConnectionUsable) {
+  start();
   net::Socket S = F.rawHandshake();
   net::Frame Bogus;
   Bogus.Type = static_cast<net::MsgType>(0x33);
@@ -467,7 +550,37 @@ TEST(DaemonTest, UnknownMessageTypeKeepsConnectionUsable) {
   net::PingMsg Pong;
   ASSERT_TRUE(net::decode(Reply, Pong));
   EXPECT_EQ(Pong.Token, 99u);
-  Server.stop();
+  EXPECT_EQ(counter("frames.unknown"), 1u);
+  stop();
+}
+
+TEST_P(FrontDoorTest, CancelRacingCompletionRepliesExactlyOnce) {
+  start(/*HoldFirstBuild=*/true);
+  std::string Err;
+  auto Client = net::RemoteClient::open(F.SocketPath, Err);
+  ASSERT_NE(Client, nullptr) << Err;
+  net::BuildRequestMsg Req = tinyBuild(*Client);
+  uint64_t Id = Req.RequestId;
+  ASSERT_TRUE(Client->startBuild(Req, Err)) << Err;
+  awaitHeld();
+
+  ASSERT_TRUE(Client->cancel(Id));
+  net::BuildResultMsg Result;
+  ASSERT_TRUE(Client->awaitResult(Id, Result, Err)) << Err;
+  EXPECT_EQ(Result.St, net::Status::Cancelled);
+  release(); // The held build finds the request abandoned and stays mute.
+
+  // CANCEL for an id that is no longer in flight is a silent no-op.
+  ASSERT_TRUE(Client->cancel(Id));
+  EXPECT_TRUE(waitForCounter("cancels.unknown", 1));
+
+  net::BuildResultMsg Result2;
+  ASSERT_TRUE(Client->build(tinyBuild(*Client), Result2, Err)) << Err;
+  EXPECT_EQ(Result2.St, net::Status::Ok) << Result2.Diagnostics;
+
+  EXPECT_EQ(counter("requests.cancelled"), 1u);
+  EXPECT_EQ(counter("requests.ok"), 1u);
+  stop();
 }
 
 //===--- Deadlines, cancellation, shed, drain ------------------------------===//
@@ -507,53 +620,6 @@ TEST(DaemonTest, DeadlineExpiryMidBuildRepliesAndDaemonStaysHealthy) {
   EXPECT_EQ(Result2.St, net::Status::Ok) << Result2.Diagnostics;
   auto Stats = Server.statsSnapshot();
   EXPECT_EQ(DaemonFixture::stat(Stats, "net.requests.deadline"), 1u);
-  EXPECT_EQ(DaemonFixture::stat(Stats, "net.requests.ok"), 1u);
-  Server.stop();
-}
-
-TEST(DaemonTest, CancelRacingCompletionRepliesExactlyOnce) {
-  DaemonFixture F;
-  F.Files.addFile("Tiny.mod", "MODULE Tiny; BEGIN END Tiny.\n");
-  Gate Hold;
-  daemon::DaemonConfig Config = F.config();
-  std::atomic<int> Started{0};
-  Config.OnBuildStart = [&](uint64_t) {
-    if (Started.fetch_add(1) == 0)
-      Hold.wait();
-  };
-  daemon::Daemon Server(F.Files, F.Interner, Config);
-  std::string Err;
-  ASSERT_TRUE(Server.start(Err)) << Err;
-
-  auto Client = net::RemoteClient::open(F.SocketPath, Err);
-  ASSERT_NE(Client, nullptr) << Err;
-  uint64_t Id = Client->nextRequestId();
-  net::BuildRequestMsg Req;
-  Req.RequestId = Id;
-  Req.Roots = {"Tiny"};
-  ASSERT_TRUE(Client->startBuild(Req, Err)) << Err;
-  while (Started.load() == 0)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-
-  ASSERT_TRUE(Client->cancel(Id));
-  net::BuildResultMsg Result;
-  ASSERT_TRUE(Client->awaitResult(Id, Result, Err)) << Err;
-  EXPECT_EQ(Result.St, net::Status::Cancelled);
-  Hold.open(); // The build thread finds the request abandoned and stays mute.
-
-  // CANCEL for an id that is no longer in flight is a silent no-op.
-  ASSERT_TRUE(Client->cancel(Id));
-  EXPECT_TRUE(F.waitForCounter(Server, "net.cancels.unknown", 1));
-
-  net::BuildRequestMsg Req2;
-  Req2.RequestId = Client->nextRequestId();
-  Req2.Roots = {"Tiny"};
-  net::BuildResultMsg Result2;
-  ASSERT_TRUE(Client->build(Req2, Result2, Err)) << Err;
-  EXPECT_EQ(Result2.St, net::Status::Ok) << Result2.Diagnostics;
-
-  auto Stats = Server.statsSnapshot();
-  EXPECT_EQ(DaemonFixture::stat(Stats, "net.requests.cancelled"), 1u);
   EXPECT_EQ(DaemonFixture::stat(Stats, "net.requests.ok"), 1u);
   Server.stop();
 }
@@ -702,7 +768,8 @@ TEST(DaemonTest, ClientKilledMidBuildIsSurvivedAndCounted) {
     S.close();
   }
   Hold.open();
-  EXPECT_TRUE(F.waitForCounter(Server, "net.replies.sendfailed", 1));
+  EXPECT_TRUE(F.waitForCounter([&] { return Server.statsSnapshot(); },
+                                "net.replies.sendfailed", 1));
 
   // The daemon is unharmed: a fresh client's build completes normally.
   auto Client = net::RemoteClient::open(F.SocketPath, Err);

@@ -8,8 +8,10 @@
 // process must return artifacts byte-identical to a cold standalone
 // BuildSession over the same sources; affinity routing must be
 // deterministic; a SIGKILLed worker must never surface as a client
-// failure (failover now, respawn shortly); and overload/drain answer
-// with the same statuses a single daemon would.
+// failure (failover now, respawn shortly); and overload/drain and
+// deadlines answer with the same statuses a single daemon would.  The
+// front-door cases shared with the daemon (handshake, malformed frames,
+// cancel) run in DaemonTest's FrontDoorTest against a 1-worker farm.
 //
 // All tests spawn REAL worker processes (the m2cd binary, resolved
 // test-binary-relative or via M2C_M2CD) against a real on-disk
@@ -97,6 +99,8 @@ struct FarmFixture {
     driver::CompilerOptions Options;
     Options.Executor = driver::ExecutorKind::Threaded;
     Options.Processors = 2;
+    // BUILD requests default to OptLevel 0; pin it against M2C_OPT_LEVEL.
+    Options.Level = opt::OptLevel::O0;
     build::BuildSession Session(Files, Interner, std::move(Options));
     return Session.build(Roots);
   }
@@ -303,6 +307,46 @@ TEST(FarmTest, OverloadShedsWithRejectedOverload) {
   EXPECT_EQ(Result.St, net::Status::RejectedOverload);
   EXPECT_GE(counter(Coordinator.statsSnapshot(), "farm.requests.shed"), 1u);
   Coordinator.stop();
+}
+
+TEST(FarmTest, DeadlineIsMeasuredAtTheCoordinator) {
+  // PROTOCOL.md §6: the deadline runs from the server's decode, and a
+  // client cannot tell a coordinator from a daemon.  With every worker
+  // dead the relay sits in its failover backoff, which under the default
+  // policy sleeps at least 10+20+40+80+160 = 310 ms before giving up; the
+  // client's 100 ms deadline must still be answered on time.
+  FarmFixture F;
+  farm::FarmConfig Config = F.config(2);
+  Config.AutoRespawn = false;
+  Config.Retry = farm::FarmConfig().Retry;
+  farm::Farm Coordinator(Config);
+  std::string Err;
+  ASSERT_TRUE(Coordinator.start(Err)) << Err;
+  ASSERT_TRUE(Coordinator.killWorker(0));
+  ASSERT_TRUE(Coordinator.killWorker(1));
+  auto Client =
+      net::RemoteClient::open((F.Dir / "farm.sock").string(), Err);
+  ASSERT_NE(Client, nullptr) << Err;
+
+  net::BuildRequestMsg Req;
+  Req.RequestId = Client->nextRequestId();
+  Req.DeadlineMs = 100;
+  Req.Roots = {F.Set.Projects[0].Root};
+  net::BuildResultMsg Result;
+  auto Sent = std::chrono::steady_clock::now();
+  ASSERT_TRUE(Client->build(Req, Result, Err)) << Err;
+  auto Waited = std::chrono::steady_clock::now() - Sent;
+  EXPECT_EQ(Result.St, net::Status::DeadlineExceeded) << Result.Diagnostics;
+  EXPECT_LT(Waited, std::chrono::milliseconds(300));
+  EXPECT_EQ(counter(Coordinator.statsSnapshot(), "farm.requests.deadline"),
+            1u);
+
+  // The relay gives up later, and its INTERNAL is discarded: one reply.
+  Coordinator.stop();
+  std::map<std::string, uint64_t> Stats = Coordinator.statsSnapshot();
+  EXPECT_EQ(counter(Stats, "farm.requests.gaveup"), 1u);
+  EXPECT_EQ(counter(Stats, "farm.requests.abandoned"), 1u);
+  EXPECT_EQ(counter(Stats, "farm.requests.othered"), 0u);
 }
 
 TEST(FarmTest, DrainRefusesNewBuildsAndNewConnections) {

@@ -278,6 +278,8 @@ struct DaemonFixture {
     driver::CompilerOptions Options;
     Options.Executor = driver::ExecutorKind::Threaded;
     Options.Processors = 4;
+    // BUILD requests default to OptLevel 0; pin it against M2C_OPT_LEVEL.
+    Options.Level = opt::OptLevel::O0;
     build::BuildSession Session(Files, Interner, std::move(Options));
     return Session.build(Roots);
   }
@@ -504,6 +506,8 @@ build::BuildResult buildAdversarial(VirtualFileSystem &Files,
   driver::CompilerOptions Options;
   Options.Executor = driver::ExecutorKind::Threaded;
   Options.Processors = 4;
+  // BUILD requests default to OptLevel 0; pin it against M2C_OPT_LEVEL.
+  Options.Level = opt::OptLevel::O0;
   build::BuildSession Session(Files, Interner, std::move(Options));
   return Session.build({Root});
 }
