@@ -17,13 +17,10 @@
 //                    rides in the BUILD request)
 //     -trace         print a WatchTool activity view per compilation
 //     -run           link all modules and run the last one
-//     -tier0         run the VM as a pure interpreter (tiering off)
-//     -tier1         promote every unit to threaded code before running
-//     -tier-threshold N
-//                    mixed tiering: promote a unit after N invocations
-//                    (hot loops after 4*N backedges).  The three flags
-//                    override the M2C_VM_TIER / M2C_TIER_THRESHOLD
-//                    environment policy; output is identical either way
+//     -tier0         run the VM as the reference interpreter alone (as
+//                    M2C_VM_TIER=tier0 does); by default every unit is
+//                    translated to threaded code at load.  Output is
+//                    identical either way
 //     -dump          print the MCode listing of each compiled unit
 //     -c             write each compiled module to Module.mco
 //     -cache DIR     keep a persistent compilation cache in DIR
@@ -97,7 +94,6 @@
 #include "trace/ActivityRecorder.h"
 #include "vm/VM.h"
 #include "vm/VmStats.h"
-#include "vm/tier/TierManager.h"
 
 #include <atomic>
 #include <chrono>
@@ -118,8 +114,8 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: m2c_cli [-j N] [-seq] [-sim] [-dky STRATEGY] "
-               "[-O0|-O1|-O2] [-trace] [-run] [-tier0] [-tier1] "
-               "[-tier-threshold N] [-dump] [-c] [-cache DIR] "
+               "[-O0|-O1|-O2] [-trace] [-run] [-tier0] "
+               "[-dump] [-c] [-cache DIR] "
                "[-cache-stats] [-project] [-serve N] [-remote ADDR] "
                "[-farm N] [-deadline MS] [-retry N] [-retry-backoff MS] "
                "[-no-push] [-stats] Module...\n");
@@ -136,26 +132,13 @@ void printCounters(const char *Heading,
                 static_cast<unsigned long long>(Value));
 }
 
-/// -tier0/-tier1/-tier-threshold: an explicit execution-tier policy for
-/// every VM this invocation creates.  When no tier flag was given the
-/// environment policy (M2C_VM_TIER, M2C_TIER_THRESHOLD) stays in effect.
-struct TierFlags {
-  bool Override = false;
-  vm::tier::TierPolicy Policy;
-
-  void apply(vm::VM &Machine) const {
-    if (Override)
-      Machine.setTierPolicy(Policy);
-  }
-};
-
 /// -project: one build session over all roots, then link/run/dump from
 /// the session's images.
 int runProject(VirtualFileSystem &Files, StringInterner &Names,
                driver::CompilerOptions Options,
                const std::vector<std::string> &Roots, bool Run, bool Dump,
                bool EmitObjects, bool Stats, bool CacheStats,
-               const TierFlags &Tiering) {
+               vm::tier::TierMode Tiering) {
   build::BuildSession Session(Files, Names, std::move(Options));
   build::BuildResult R = Session.build(Roots);
   std::fputs(R.DiagnosticText.c_str(), stderr);
@@ -202,8 +185,7 @@ int runProject(VirtualFileSystem &Files, StringInterner &Names,
       std::fprintf(stderr, "link error: %s\n", E.c_str());
     return 1;
   }
-  vm::VM Machine(Program, Names);
-  Tiering.apply(Machine);
+  vm::VM Machine(Program, Names, Tiering);
   vm::VM::RunResult Result = Machine.run(Names.intern(Roots.back()));
   std::fputs(Result.Output.c_str(), stdout);
   if (Stats)
@@ -313,7 +295,7 @@ int remoteExitCode(net::ErrorCategory Category) {
 int runRemote(StringInterner &Names, const std::string &Address,
               const std::vector<std::string> &Roots, uint32_t DeadlineMs,
               opt::OptLevel Level, bool Push, bool Run, bool Dump,
-              bool EmitObjects, bool Stats, const TierFlags &Tiering,
+              bool EmitObjects, bool Stats, vm::tier::TierMode Tiering,
               unsigned Retries, unsigned BackoffMs) {
   std::string Err;
   int Exit = 0;
@@ -422,8 +404,7 @@ int runRemote(StringInterner &Names, const std::string &Address,
           std::fprintf(stderr, "link error: %s\n", E.c_str());
         return 1;
       }
-      vm::VM Machine(Program, Names);
-      Tiering.apply(Machine);
+      vm::VM Machine(Program, Names, Tiering);
       vm::VM::RunResult RunResult = Machine.run(Names.intern(Roots.back()));
       std::fputs(RunResult.Output.c_str(), stdout);
       if (Stats)
@@ -470,7 +451,7 @@ int main(int Argc, char **Argv) {
   unsigned DeadlineMs = 0;
   unsigned Retries = 0, RetryBackoffMs = 100;
   bool RetryFlagsSeen = false;
-  TierFlags Tiering;
+  vm::tier::TierMode Tiering = vm::tier::tierModeFromEnv();
   std::string CacheDir, RemoteAddr;
   std::vector<std::string> Modules;
 
@@ -507,18 +488,7 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "-run") {
       Run = true;
     } else if (Arg == "-tier0") {
-      Tiering.Override = true;
-      Tiering.Policy.Mode = vm::tier::TierMode::Tier0Only;
-    } else if (Arg == "-tier1") {
-      Tiering.Override = true;
-      Tiering.Policy.Mode = vm::tier::TierMode::ForceTier1;
-    } else if (Arg == "-tier-threshold" && I + 1 < Argc) {
-      int V = std::atoi(Argv[++I]);
-      if (V <= 0)
-        return usage();
-      Tiering.Override = true;
-      Tiering.Policy.InvocationThreshold = static_cast<uint32_t>(V);
-      Tiering.Policy.BackedgeThreshold = 4u * static_cast<uint32_t>(V);
+      Tiering = vm::tier::TierMode::Tier0Only;
     } else if (Arg == "-dump") {
       Dump = true;
     } else if (Arg == "-c") {
@@ -751,8 +721,7 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "link error: %s\n", E.c_str());
     return 1;
   }
-  vm::VM Machine(Program);
-  Tiering.apply(Machine);
+  vm::VM Machine(Program, Tiering);
   vm::VM::RunResult Result = Machine.run(Names.intern(RunModule));
   std::fputs(Result.Output.c_str(), stdout);
   if (Stats)

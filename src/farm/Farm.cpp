@@ -109,10 +109,6 @@ void Farm::healthLoop() {
   }
 }
 
-std::string Farm::workerAddress(unsigned I) const {
-  return I < Slots.size() ? Slots[I]->SocketPath : std::string();
-}
-
 pid_t Farm::workerPid(unsigned I) {
   if (I >= Slots.size())
     return -1;
@@ -337,11 +333,15 @@ void Farm::build(Server::Request &R, BuildRequestMsg Msg) {
     return Slots[(W + 1 + Attempt) % N]->SocketPath;
   };
   BuildResultMsg Result;
-  RemoteBuildOutcome Outcome =
-      buildWithRetry(Provider, Msg, Config.Retry, Result);
+  RemoteBuildOutcome Outcome = buildWithRetry(
+      Provider, Msg, Config.Retry, Result, [&R] { return R.abandoned(); });
   for (const auto &[RetryCat, Count] : Outcome.Retries)
     Front.counters().add(
         std::string("farm.retries.") + errorCategoryName(RetryCat), Count);
+  if (!Outcome.Delivered && R.abandoned()) {
+    Front.counters().add("farm.requests.abandoned");
+    return;
+  }
   if (Outcome.Delivered) {
     Front.counters().add("farm.requests.failover");
     Finish(std::move(Result));

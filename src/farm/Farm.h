@@ -117,7 +117,6 @@ public:
   uint16_t tcpPort() const { return Front.tcpPort(); }
 
   unsigned workerCount() const { return static_cast<unsigned>(Slots.size()); }
-  std::string workerAddress(unsigned I) const;
   pid_t workerPid(unsigned I);
 
   /// Chaos/testing hook: SIGKILL worker \p I (the health thread will

@@ -41,8 +41,6 @@ public:
   ClientPool(const ClientPool &) = delete;
   ClientPool &operator=(const ClientPool &) = delete;
 
-  const std::string &address() const { return Addr; }
-
   /// An open, handshaken connection: a parked one when available, a
   /// fresh one otherwise.  Returns nullptr with \p Err / \p Category set
   /// when connecting fails.
@@ -59,14 +57,13 @@ public:
   /// retry logic handles it.
   void clear();
 
-  size_t idleCount() const;
   uint64_t opened() const { return Opened.load(std::memory_order_relaxed); }
   uint64_t reused() const { return Reused.load(std::memory_order_relaxed); }
 
 private:
   const std::string Addr;
   const size_t MaxIdle;
-  mutable std::mutex M;
+  std::mutex M;
   std::vector<std::unique_ptr<RemoteClient>> Idle;
   std::atomic<uint64_t> Opened{0};
   std::atomic<uint64_t> Reused{0};

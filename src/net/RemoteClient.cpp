@@ -132,7 +132,6 @@ std::unique_ptr<RemoteClient> RemoteClient::open(const std::string &Address,
     Err = "handshake: unexpected reply frame";
     return Fail(ErrorCategory::Protocol);
   }
-  C->Version = W.Version;
   C->Server = W.Server;
   if (Category)
     *Category = ErrorCategory::None;
@@ -265,12 +264,24 @@ unsigned m2c::net::backoffSleepMs(const RetryPolicy &Policy,
   return static_cast<unsigned>(Base - Span + (R % (Span + 1)));
 }
 
+/// How often a backoff sleep polls its abandonment predicate.
+static constexpr unsigned AbandonPollMs = 5;
+
 RemoteBuildOutcome m2c::net::buildWithRetry(
     const std::function<std::string(unsigned Attempt)> &Address,
     const BuildRequestMsg &Req, const RetryPolicy &Policy,
-    BuildResultMsg &Out) {
+    BuildResultMsg &Out, const std::function<bool()> &Abandoned) {
   RemoteBuildOutcome Outcome;
+  auto GiveUp = [&] {
+    if (!Abandoned || !Abandoned())
+      return false;
+    Outcome.Category = ErrorCategory::Cancelled;
+    Outcome.Err = "request abandoned";
+    return true;
+  };
   for (unsigned Attempt = 0;; ++Attempt) {
+    if (GiveUp())
+      return Outcome;
     ++Outcome.Attempts;
     ErrorCategory Cat = ErrorCategory::None;
     std::string Err;
@@ -298,10 +309,17 @@ RemoteBuildOutcome m2c::net::buildWithRetry(
     }
     ++Outcome.Retries[Cat];
     unsigned SleepMs = backoffSleepMs(Policy, Attempt + 1);
-    if (Policy.OnBackoff)
+    if (Policy.OnBackoff) {
       Policy.OnBackoff(Attempt + 1, SleepMs);
-    else
-      std::this_thread::sleep_for(std::chrono::milliseconds(SleepMs));
+      continue;
+    }
+    // Sleep in short slices so an abandoned request stops within one.
+    for (unsigned Slept = 0; Slept < SleepMs; Slept += AbandonPollMs) {
+      if (GiveUp())
+        return Outcome;
+      std::this_thread::sleep_for(std::chrono::milliseconds(
+          std::min(AbandonPollMs, SleepMs - Slept)));
+    }
   }
 }
 

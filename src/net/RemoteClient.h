@@ -63,9 +63,6 @@ public:
                                             std::string &Err,
                                             ErrorCategory *Category = nullptr);
 
-  /// The version the server chose in WELCOME.
-  uint32_t version() const { return Version; }
-
   /// The server identification string from WELCOME ("m2cd/1", or
   /// "m2cd/1 worker" for a farm worker — PROTOCOL.md §14).
   const std::string &serverName() const { return Server; }
@@ -112,7 +109,6 @@ private:
   }
 
   Socket Sock;
-  uint32_t Version = 0;
   std::string Server;
   uint64_t NextId = 1;
   ErrorCategory LastCategory = ErrorCategory::None;
@@ -181,10 +177,16 @@ RemoteBuildOutcome buildWithRetry(const std::string &Address,
 /// farm coordinator retries a killed worker's in-flight BUILDs on a
 /// sibling by rotating the provider over its healthy upstreams.  BUILD
 /// idempotence (above) is what makes cross-worker replay safe.
+///
+/// \p Abandoned, when set, is polled before each attempt and throughout
+/// each backoff sleep: once it returns true (the relayed request was
+/// already answered by deadline or CANCEL) the loop stops with Category
+/// Cancelled and Delivered false.
 RemoteBuildOutcome
 buildWithRetry(const std::function<std::string(unsigned Attempt)> &Address,
                const BuildRequestMsg &Req, const RetryPolicy &Policy,
-               BuildResultMsg &Out);
+               BuildResultMsg &Out,
+               const std::function<bool()> &Abandoned = nullptr);
 
 } // namespace m2c::net
 

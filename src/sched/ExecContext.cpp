@@ -73,8 +73,6 @@ const char *m2c::sched::taskClassName(TaskClass Class) {
     return "ShortStmtCodeGen";
   case TaskClass::Merge:
     return "Merge";
-  case TaskClass::TierPromote:
-    return "TierPromote";
   }
   return "Unknown";
 }

@@ -41,15 +41,10 @@ enum class TaskClass : uint8_t {
   LongStmtCodeGen,
   ShortStmtCodeGen,
   Merge,
-  /// VM tier-1 promotion: translates a hot procedure into threaded code
-  /// while the interpreter keeps running it.  Lowest priority — promotion
-  /// is a throughput optimization and must never delay compilation tasks.
-  TierPromote,
 };
 
 /// Number of distinct TaskClass values.
-constexpr unsigned NumTaskClasses =
-    static_cast<unsigned>(TaskClass::TierPromote) + 1;
+constexpr unsigned NumTaskClasses = static_cast<unsigned>(TaskClass::Merge) + 1;
 
 /// Returns a human-readable name for \p Class.
 const char *taskClassName(TaskClass Class);

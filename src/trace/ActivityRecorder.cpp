@@ -51,16 +51,13 @@ char ActivityRecorder::classGlyph(sched::TaskClass Class) {
     return 'c';
   case sched::TaskClass::Merge:
     return 'm';
-  case sched::TaskClass::TierPromote:
-    return 'j';
   }
   return '?';
 }
 
 std::string ActivityRecorder::legend() {
   return "L=lex S=split I=import D=defmod-parse M=module-parse "
-         "p=proc-parse C=codegen(long) c=codegen(short) m=merge "
-         "j=tier-promote .=idle";
+         "p=proc-parse C=codegen(long) c=codegen(short) m=merge .=idle";
 }
 
 uint64_t ActivityRecorder::makespan() const {

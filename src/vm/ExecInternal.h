@@ -23,9 +23,9 @@ namespace m2c::vm {
 
 /// One executeUnit() activation: the operand stack and frame stack walked
 /// by whichever tier currently runs, and the tier-0 resume point (CurUnit,
-/// Pc) that is kept valid at every tier-switch boundary.  Frames live in a
-/// deque so Frame references (static links, the tier-1 cached frame
-/// pointer) survive pushes.
+/// Pc) that tier 1 sets when it hands the activation to tier 0.  Frames
+/// live in a deque so Frame references (static links, the tier-1 cached
+/// frame pointer) survive pushes.
 struct VM::Exec {
   std::vector<Value> Stack;
   std::deque<Frame> Frames;

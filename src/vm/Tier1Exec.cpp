@@ -12,16 +12,17 @@
 // accounting (each TInstr charges the number of tier-0 instructions it
 // stands for before executing; see TierUnit.h for the deopt contract).
 //
-// Calls and returns between two promoted units stay inside this loop;
-// any boundary into unpromoted code (or a pc the translator fused over)
-// hands the tier-0 resume point back to the trampoline in executeUnit.
+// Calls and returns stay inside this loop.  Only a call into a unit the
+// translator refused, or a step-budget deopt, hands the tier-0 resume
+// point back to executeUnit, and tier 0 then finishes the activation.
 //
 //===----------------------------------------------------------------------===//
 
 #include "sema/Builtins.h"
 #include "vm/ExecInternal.h"
-#include "vm/tier/TierManager.h"
+#include "vm/tier/Translator.h"
 
+#include <cassert>
 #include <cstdio>
 
 using namespace m2c;
@@ -46,6 +47,10 @@ int64_t applyBin(uint8_t Kind, int64_t A, int64_t B) {
     return A - B;
   case BinKind::Mul:
     return A * B;
+  case BinKind::Div: // B > 0: checked at translation.
+    return A / B;
+  case BinKind::Mod:
+    return A % B;
   }
   return 0;
 }
@@ -75,13 +80,14 @@ VM::Flow VM::runTier1(Exec &E, const tier::TierUnit *Entry, RunResult &Result,
   auto &Stack = E.Stack;
   auto &Frames = E.Frames;
 
-  const TierUnit *TU = Entry;
-  const TInstr *Code = TU->Code;
-  const CodeUnit *CU = TU->LU->Unit;
-  size_t Ip = static_cast<size_t>(TU->PcMap[E.Pc]);
+  const TierUnit *const *Units = Translated->units();
+  const TInstr *Code = Entry->Code;
+  const CodeUnit *CU = Entry->LU->Unit;
+  size_t Ip = 0;
   Frame *F = &Frames.back(); // Deque: stays valid across pushFrame.
   const TInstr *I = nullptr;
   uint64_t Dispatches = 0;
+  int32_t CallTarget = -1;
   Value RetVal;
   bool HasRet = false;
 
@@ -609,25 +615,12 @@ DispatchTop:
       return Fail(I->Pc0 + 1, "call to '" + Callee.QualifiedName +
                                   "' with too few arguments on the stack");
     size_t ArgBase = Stack.size() - Callee.Params.size();
-    // ReturnPc is always a tier-0 pc; the translator makes every
-    // pc-after-call a group head, so a tier-1 caller resumes in tier 1.
     Frame &NF = pushFrame(E, Target, StaticLink,
                           static_cast<size_t>(I->Pc0) + 1, E.CurUnit);
     bindArgs(E, NF, ArgBase);
-    E.CurUnit = Target;
-    Tier->noteInvocation(Target);
-    if (const TierUnit *CT = Tier->installed(Target)) {
-      // Fast path: stay in tier 1 across the call.
-      TU = CT;
-      Code = CT->Code;
-      CU = CT->LU->Unit;
-      F = &Frames.back();
-      Ip = static_cast<size_t>(CT->PcMap[0]);
-      DISPATCH();
-    }
-    E.Pc = 0;
-    return Flow::Switch;
+    CallTarget = Target;
   }
+  goto EnterCallee;
 
   CASE(CallIndirect) {
     size_t Argc = static_cast<size_t>(I->B);
@@ -645,13 +638,9 @@ DispatchTop:
         pushFrame(E, Target, nullptr, static_cast<size_t>(I->Pc0) + 1,
                   E.CurUnit);
     bindArgs(E, NF, ArgBase);
-    E.CurUnit = Target;
-    Tier->noteInvocation(Target);
-    // Hand indirect targets to the trampoline (it re-enters tier 1 if the
-    // target is promoted).
-    E.Pc = 0;
-    return Flow::Switch;
+    CallTarget = Target;
   }
+  goto EnterCallee;
 
   CASE(CallBuiltin)
   if (!callBuiltin(E, Result, I->A, static_cast<size_t>(I->Pc0) + 1))
@@ -779,6 +768,31 @@ DispatchTop:
   HasRet = true;
   goto DoReturn;
 
+  CASE(FusedICmpBr) {
+    // The computed left operand is on the stack; the literal is B.
+    int64_t A = asOrdinal(Stack.back());
+    Stack.pop_back();
+    if (!applyCmp(I->Kind, A, I->B))
+      Ip = static_cast<size_t>(I->C);
+    else
+      ++Ip;
+    DISPATCH();
+  }
+
+  CASE(FusedIncLocal) {
+    Value &Slot = F->Slots[static_cast<size_t>(I->A)];
+    Slot = Value(asOrdinal(Slot) + I->B);
+  }
+  NEXT();
+
+  CASE(FusedIncGlobal) {
+    // Pre-resolved and range-checked: C = module index, A = slot.
+    auto &ModGlobals = *Globals[static_cast<size_t>(I->C)];
+    Value &Slot = ModGlobals[static_cast<size_t>(I->A)];
+    Slot = Value(asOrdinal(Slot) + I->B);
+  }
+  NEXT();
+
   CASE(FellOff)
   // Synthetic: pc reached one past the end.  The step was already
   // charged, matching tier 0's check order (limit before fell-off).
@@ -789,10 +803,25 @@ DispatchTop:
   goto DispatchTop; // Unreachable; every case transfers control.
 #endif
 
+EnterCallee:
+  // The callee's frame is pushed and bound; the caller resumes at the
+  // group after the call.
+  Frames.back().ReturnIp = static_cast<uint32_t>(Ip + 1);
+  E.CurUnit = CallTarget;
+  if (const TierUnit *CT = Units[CallTarget]) {
+    Code = CT->Code;
+    CU = CT->LU->Unit;
+    F = &Frames.back();
+    Ip = 0;
+    DISPATCH();
+  }
+  E.Pc = 0;
+  return Flow::Tier0;
+
 DoReturn: {
   Stack.resize(F->StackBase);
-  size_t ReturnPc = F->ReturnPc;
   int32_t ReturnUnit = F->ReturnUnit;
+  uint32_t ReturnIp = F->ReturnIp;
   Frames.pop_back();
   if (Frames.empty())
     return Flow::Done; // Entry unit finished.
@@ -800,17 +829,14 @@ DoReturn: {
     Stack.push_back(std::move(RetVal));
   E.CurUnit = ReturnUnit;
   F = &Frames.back();
-  const TierUnit *RT = Tier->installed(ReturnUnit);
-  if (RT && ReturnPc < RT->PcMapSize && RT->PcMap[ReturnPc] >= 0) {
-    // Fast path: resume the promoted caller without leaving tier 1.
-    TU = RT;
-    Code = RT->Code;
-    CU = RT->LU->Unit;
-    Ip = static_cast<size_t>(RT->PcMap[ReturnPc]);
-    DISPATCH();
-  }
-  E.Pc = ReturnPc;
-  return Flow::Switch;
+  // Every frame below the entry one was pushed by a tier-1 call, so the
+  // caller has tier-1 code.
+  const TierUnit *RT = Units[ReturnUnit];
+  assert(RT && "tier-1 return into an untranslated caller");
+  Code = RT->Code;
+  CU = RT->LU->Unit;
+  Ip = ReturnIp;
+  DISPATCH();
 }
 
 StepLimit:
@@ -825,7 +851,7 @@ StepLimit:
   // trap at the exact tier-0 pc.
   ++Deopts;
   E.Pc = I->Pc0;
-  return Flow::Deopt;
+  return Flow::Tier0;
 
 #undef CASE
 #undef DISPATCH

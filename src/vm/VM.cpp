@@ -10,12 +10,13 @@
 #include "sema/Builtins.h"
 #include "vm/ExecInternal.h"
 #include "vm/VmStats.h"
-#include "vm/tier/TierManager.h"
+#include "vm/tier/Translator.h"
 
 #include <cassert>
 #include <cinttypes>
 #include <cstdio>
-#include <functional>
+#include <cstdlib>
+#include <cstring>
 
 using namespace m2c;
 using namespace m2c::codegen;
@@ -23,11 +24,46 @@ using namespace m2c::vm;
 using namespace m2c::vm::detail;
 
 //===----------------------------------------------------------------------===//
+// Global vm.* counters and the tier mode
+//===----------------------------------------------------------------------===//
+
+StatisticSet &m2c::vm::globalVmStats() {
+  static StatisticSet *Set = [] {
+    auto *S = new StatisticSet();
+    // Pre-touch every exported key so stats consumers (CLI -stats, the
+    // daemon STATS reply) always render the full set.
+    for (const char *Key :
+         {"vm.runs", "vm.steps.tier0", "vm.steps.tier1", "vm.dispatch.tier1",
+          "vm.tier.promotions", "vm.tier.instrs", "vm.tier.fused.groups",
+          "vm.tier.fused.saved", "vm.tier.arena.bytes", "vm.tier.deopts"})
+      S->add(Key, 0);
+    return S;
+  }();
+  return *Set;
+}
+
+tier::TierMode tier::tierModeFromEnv() {
+  const char *Mode = std::getenv("M2C_VM_TIER");
+  return Mode && !std::strcmp(Mode, "tier0") ? TierMode::Tier0Only
+                                              : TierMode::Tier1;
+}
+
+//===----------------------------------------------------------------------===//
 // VM
 //===----------------------------------------------------------------------===//
 
-VM::VM(const codegen::LinkedProgram &Prog, const StringInterner &Names)
-    : Prog(Prog), Names(Names) {
+VM::VM(const codegen::LinkedProgram &Prog, const StringInterner &Names,
+       tier::TierMode Mode)
+    : VM(Prog, Names,
+         Mode == tier::TierMode::Tier1
+             ? std::make_shared<const tier::TranslatedProgram>(Prog)
+             : nullptr) {}
+
+VM::VM(const codegen::LinkedProgram &Prog, const StringInterner &Names,
+       std::shared_ptr<const tier::TranslatedProgram> Translated)
+    : Prog(Prog), Names(Names), Translated(std::move(Translated)) {
+  assert((!this->Translated || &this->Translated->program() == &Prog) &&
+         "tier-1 code translated for another program");
   for (const ModuleImage &Image : Prog.images()) {
     auto Frame = std::make_unique<std::vector<Value>>();
     Frame->resize(Image.GlobalCount);
@@ -35,7 +71,6 @@ VM::VM(const codegen::LinkedProgram &Prog, const StringInterner &Names)
       (*Frame)[I] = defaultValue(Image.Descs, Image.GlobalDescs[I]);
     Globals.push_back(std::move(Frame));
   }
-  setTierPolicy(tier::TierPolicy::fromEnv());
 }
 
 VM::~VM() = default;
@@ -43,18 +78,6 @@ VM::~VM() = default;
 void VM::setInput(std::vector<int64_t> In) {
   Input = std::move(In);
   InputPos = 0;
-}
-
-void VM::setTierPolicy(const tier::TierPolicy &Policy) {
-  if (Policy.Mode == tier::TierMode::Tier0Only)
-    Tier.reset();
-  else
-    Tier = std::make_shared<tier::TierManager>(Prog, Policy);
-}
-
-void VM::setTierManager(std::shared_ptr<tier::TierManager> Manager) {
-  assert(!Manager || &Manager->program() == &Prog);
-  Tier = std::move(Manager);
 }
 
 Value VM::defaultValue(const std::vector<TypeDesc> &Descs,
@@ -160,10 +183,8 @@ VM::RunResult VM::run(Symbol MainModule, uint64_t MaxSteps) {
       S.add("vm.steps.tier0", V.Tier0Steps);
       S.add("vm.steps.tier1", V.Tier1Steps);
       S.add("vm.dispatch.tier1", V.Tier1Dispatches);
-      S.add("vm.tier.osr.entries", V.OsrEntries);
       S.add("vm.tier.deopts", V.Deopts);
-      V.Tier0Steps = V.Tier1Steps = V.Tier1Dispatches = 0;
-      V.Deopts = V.OsrEntries = 0;
+      V.Tier0Steps = V.Tier1Steps = V.Tier1Dispatches = V.Deopts = 0;
     }
   } Flusher{*this};
   // Initialize imported modules first, then the main module's body last.
@@ -244,38 +265,21 @@ bool VM::executeUnit(int32_t EntryUnit, RunResult &Result, uint64_t &Steps,
   E.CurUnit = EntryUnit;
   E.Pc = 0;
   pushFrame(E, EntryUnit, nullptr, 0, -1);
-  if (Tier)
-    Tier->noteInvocation(EntryUnit);
-
-  // Trampoline: each tier runs until it finishes, traps, or reaches a
-  // boundary the other tier should take over.
-  bool SkipTier1 = false;
-  while (true) {
-    const tier::TierUnit *TU = nullptr;
-    if (Tier && !SkipTier1) {
-      TU = Tier->installed(E.CurUnit);
-      if (TU && !(E.Pc < TU->PcMapSize && TU->PcMap[E.Pc] >= 0))
-        TU = nullptr; // Pc interior to a fused group: only tier 0 can run.
-    }
-    SkipTier1 = false;
-    Flow F = TU ? runTier1(E, TU, Result, Steps, MaxSteps)
-                : runTier0(E, Result, Steps, MaxSteps);
-    switch (F) {
+  // Tier 1 runs the activation; tier 0 takes over (and finishes it) where
+  // tier 1 hands back: a step-budget deopt in front of a fused group, or
+  // a call into a unit the translator refused.
+  if (const tier::TierUnit *TU =
+          Translated ? Translated->units()[EntryUnit] : nullptr) {
+    switch (runTier1(E, TU, Result, Steps, MaxSteps)) {
     case Flow::Done:
       return true;
     case Flow::Trapped:
       return false;
-    case Flow::Switch:
-      break;
-    case Flow::Deopt:
-      // Tier 1 stopped in front of a fused group that would cross the
-      // step budget.  Tier 0 replays from the group head; skipping tier 1
-      // once guarantees forward progress (tier 0 consumes at least one
-      // step before any switch back).
-      SkipTier1 = true;
+    case Flow::Tier0:
       break;
     }
   }
+  return runTier0(E, Result, Steps, MaxSteps);
 }
 
 //===----------------------------------------------------------------------===//
@@ -348,7 +352,7 @@ bool VM::callBuiltin(Exec &E, RunResult &Result, int64_t Builtin,
 }
 
 //===----------------------------------------------------------------------===//
-// Tier 0: the switch interpreter (with profiling hooks)
+// Tier 0: the switch interpreter (the reference for tier 1)
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -366,8 +370,8 @@ struct StepAccount {
 
 } // namespace
 
-VM::Flow VM::runTier0(Exec &E, RunResult &Result, uint64_t &Steps,
-                      uint64_t MaxSteps) {
+bool VM::runTier0(Exec &E, RunResult &Result, uint64_t &Steps,
+                  uint64_t MaxSteps) {
   auto &Stack = E.Stack;
   auto &Frames = E.Frames;
   int32_t &CurUnit = E.CurUnit;
@@ -376,21 +380,12 @@ VM::Flow VM::runTier0(Exec &E, RunResult &Result, uint64_t &Steps,
 
   auto Fail = [&](const std::string &Message) {
     failAt(Result, Frames.back(), Pc, Message);
-    return Flow::Trapped;
+    return false;
   };
   auto Pop = [&]() {
     Value V = std::move(Stack.back());
     Stack.pop_back();
     return V;
-  };
-  // True when tier-1 code is installed for \p Unit and maps \p At as an
-  // entry point; every such boundary hands control back to the
-  // trampoline.
-  auto WantTier1 = [&](int32_t Unit, size_t At) {
-    if (!Tier)
-      return false;
-    const tier::TierUnit *TU = Tier->installed(Unit);
-    return TU && At < TU->PcMapSize && TU->PcMap[At] >= 0;
   };
 
   while (true) {
@@ -781,19 +776,7 @@ VM::Flow VM::runTier0(Exec &E, RunResult &Result, uint64_t &Steps,
         break;
       if (In.Op == Opcode::JumpIfTrue && asOrdinal(Pop()) == 0)
         break;
-      // Pc is already past the jump, so a backward target compares below
-      // it (same condition the linker uses for BackedgeCount).
-      bool Backward = In.A < static_cast<int64_t>(Pc);
       Pc = static_cast<size_t>(In.A);
-      if (Backward && Tier) {
-        Tier->noteBackedge(CurUnit);
-        // On-stack replacement: enter installed tier-1 code at the loop
-        // head of an already-running activation.
-        if (WantTier1(CurUnit, Pc)) {
-          ++OsrEntries;
-          return Flow::Switch;
-        }
-      }
       break;
     }
 
@@ -820,11 +803,6 @@ VM::Flow VM::runTier0(Exec &E, RunResult &Result, uint64_t &Steps,
       bindArgs(E, NF, ArgBase);
       CurUnit = Target;
       Pc = 0;
-      if (Tier) {
-        Tier->noteInvocation(Target);
-        if (Tier->installed(Target))
-          return Flow::Switch; // Pc 0 always heads a group.
-      }
       break;
     }
     case Opcode::CallIndirect: {
@@ -843,11 +821,6 @@ VM::Flow VM::runTier0(Exec &E, RunResult &Result, uint64_t &Steps,
       bindArgs(E, NF, ArgBase);
       CurUnit = Target;
       Pc = 0;
-      if (Tier) {
-        Tier->noteInvocation(Target);
-        if (Tier->installed(Target))
-          return Flow::Switch;
-      }
       break;
     }
 
@@ -861,19 +834,17 @@ VM::Flow VM::runTier0(Exec &E, RunResult &Result, uint64_t &Steps,
       int32_t ReturnUnit = F.ReturnUnit;
       Frames.pop_back();
       if (Frames.empty())
-        return Flow::Done; // Entry unit finished.
+        return true; // Entry unit finished.
       if (In.Op == Opcode::ReturnValue)
         Stack.push_back(std::move(Ret));
       CurUnit = ReturnUnit;
       Pc = ReturnPc;
-      if (WantTier1(CurUnit, Pc))
-        return Flow::Switch; // Resume the caller in tier 1.
       break;
     }
 
     case Opcode::CallBuiltin:
       if (!callBuiltin(E, Result, In.A, Pc))
-        return Flow::Trapped;
+        return false;
       break;
 
     case Opcode::CheckRange: {
@@ -905,7 +876,7 @@ VM::Flow VM::runTier0(Exec &E, RunResult &Result, uint64_t &Steps,
       break;
     case Opcode::Halt:
       Result.ExitCode = In.A;
-      return Flow::Done;
+      return true;
     case Opcode::Trap:
       switch (In.A) {
       case 1:

@@ -29,9 +29,18 @@
 namespace m2c::vm {
 
 namespace tier {
-class TierManager;
-struct TierPolicy;
+class TranslatedProgram;
 struct TierUnit;
+
+/// How a VM executes.
+enum class TierMode : uint8_t {
+  Tier0Only, ///< The reference interpreter alone.
+  Tier1,     ///< Every unit translated to tier 1 at load (the default).
+};
+
+/// Tier1, or Tier0Only when the environment sets M2C_VM_TIER=tier0, so
+/// the whole test suite can be pinned to the reference interpreter.
+TierMode tierModeFromEnv();
 } // namespace tier
 
 /// A set of module images linked into a runnable program.  Thin wrapper
@@ -81,20 +90,29 @@ private:
 
 /// Interprets a linked Program.
 ///
-/// Execution is tiered (see vm/tier/): tier 0 is the switch interpreter
-/// below, which also counts invocations and loop backedges per unit; hot
-/// units are translated concurrently into pre-decoded threaded code (tier
-/// 1) and entered at calls, returns and loop backedges once installed.
-/// Observable behavior — output, exit code, trap points and messages, and
-/// MaxSteps accounting — is identical across tiers.
+/// Execution is tiered (see vm/tier/): the VM translates every unit into
+/// pre-decoded threaded code (tier 1) when it is constructed and runs
+/// that.  Tier 0, the switch interpreter, is the reference the tiers are
+/// tested against; it also finishes an activation when tier 1 stops in
+/// front of a fused group the step budget cannot cover, or calls a unit
+/// the translator refused.  Observable behavior — output, exit code,
+/// trap points and messages, and MaxSteps accounting — is identical
+/// across tiers.
 class VM {
 public:
-  explicit VM(const Program &Prog) : VM(Prog.linked(), Prog.names()) {}
+  explicit VM(const Program &Prog,
+              tier::TierMode Mode = tier::tierModeFromEnv())
+      : VM(Prog.linked(), Prog.names(), Mode) {}
 
   /// Interprets a LinkedProgram produced directly by codegen::Linker
-  /// (e.g. from a build session's images).  Tiering policy comes from the
-  /// environment (M2C_VM_TIER, M2C_TIER_THRESHOLD) unless overridden.
-  VM(const codegen::LinkedProgram &Prog, const StringInterner &Names);
+  /// (e.g. from a build session's images).
+  VM(const codegen::LinkedProgram &Prog, const StringInterner &Names,
+     tier::TierMode Mode = tier::tierModeFromEnv());
+
+  /// Runs on \p Translated, tier-1 code already translated for \p Prog
+  /// and possibly shared with other VMs; null runs tier 0 alone.
+  VM(const codegen::LinkedProgram &Prog, const StringInterner &Names,
+     std::shared_ptr<const tier::TranslatedProgram> Translated);
   ~VM();
 
   struct RunResult {
@@ -108,16 +126,6 @@ public:
   /// reads yield 0).
   void setInput(std::vector<int64_t> Input);
 
-  /// Replaces the tiering policy (and the TierManager implementing it).
-  /// Tier0Only drops the manager entirely.  Call before run().
-  void setTierPolicy(const tier::TierPolicy &Policy);
-
-  /// Adopts an existing (possibly shared, already warm) TierManager for
-  /// the same LinkedProgram.  Benchmarks use this to measure steady-state
-  /// tier-1 execution across fresh VM instances.
-  void setTierManager(std::shared_ptr<tier::TierManager> Manager);
-  tier::TierManager *tierManager() const { return Tier.get(); }
-
   /// Initializes every module (imports first) and runs \p MainModule's
   /// body.  \p MaxSteps bounds execution for tests.
   RunResult run(Symbol MainModule, uint64_t MaxSteps = 100'000'000);
@@ -129,6 +137,8 @@ private:
     const Program::LinkedUnit *Unit = nullptr;
     size_t ReturnPc = 0;
     int32_t ReturnUnit = -1;
+    /// Tier-1 index to resume the caller at; set by tier-1 calls only.
+    uint32_t ReturnIp = 0;
     size_t StackBase = 0;
   };
 
@@ -136,12 +146,11 @@ private:
   /// ExecInternal.h, shared by both tier loops.
   struct Exec;
 
-  /// How a tier loop handed control back to the trampoline.
+  /// How tier 1 handed control back to executeUnit.
   enum class Flow : uint8_t {
     Done,    ///< Entry unit finished (or Halt).
     Trapped, ///< RunResult carries the trap.
-    Switch,  ///< Tier boundary: resume the other tier at (CurUnit, Pc).
-    Deopt,   ///< Tier 1 stopped before a fused group; tier 0 must replay.
+    Tier0,   ///< Tier 0 finishes the activation from (CurUnit, Pc).
   };
 
   Value defaultValue(const std::vector<codegen::TypeDesc> &Descs,
@@ -168,13 +177,13 @@ private:
 
   bool executeUnit(int32_t UnitIndex, RunResult &Result, uint64_t &Steps,
                    uint64_t MaxSteps);
-  /// The tier-0 switch interpreter; runs until done/trap or a tier-switch
-  /// boundary (call, return, taken backward jump) with tier-1 installed.
-  Flow runTier0(Exec &E, RunResult &Result, uint64_t &Steps,
+  /// The tier-0 switch interpreter; runs the activation from (CurUnit,
+  /// Pc) to the end.  Returns false on a trap.
+  bool runTier0(Exec &E, RunResult &Result, uint64_t &Steps,
                 uint64_t MaxSteps);
-  /// The tier-1 threaded-code dispatcher (Tier1Exec.cpp); entered at a pc
-  /// mapped by \p Entry, runs until done/trap, an unpromoted boundary, or
-  /// a step-budget deopt.
+  /// The tier-1 threaded-code dispatcher (Tier1Exec.cpp); entered at the
+  /// start of \p Entry, runs until done/trap, a call into a refused unit,
+  /// or a step-budget deopt.
   Flow runTier1(Exec &E, const tier::TierUnit *Entry, RunResult &Result,
                 uint64_t &Steps, uint64_t MaxSteps);
   void trap(RunResult &Result, const std::string &Message);
@@ -185,13 +194,13 @@ private:
   std::vector<int64_t> Input;
   size_t InputPos = 0;
 
-  std::shared_ptr<tier::TierManager> Tier; ///< Null in Tier0Only mode.
+  /// Tier-1 code; null in Tier0Only mode.
+  std::shared_ptr<const tier::TranslatedProgram> Translated;
   /// Per-run counters, flushed into globalVmStats() at the end of run().
   uint64_t Tier0Steps = 0;
   uint64_t Tier1Steps = 0;
   uint64_t Tier1Dispatches = 0;
   uint64_t Deopts = 0;
-  uint64_t OsrEntries = 0;
 };
 
 } // namespace m2c::vm

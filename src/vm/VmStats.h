@@ -14,13 +14,12 @@
 ///   vm.steps.tier1           tier-0-equivalent steps charged by tier 1
 ///   vm.dispatch.tier1        tier-1 instructions dispatched (the gap to
 ///                            vm.steps.tier1 is what fusion saved)
-///   vm.tier.promotions       units translated and installed
+///   vm.tier.promotions       units translated to tier 1 (at VM load)
 ///   vm.tier.instrs           tier-1 instructions emitted
 ///   vm.tier.fused.groups     superinstructions emitted
 ///   vm.tier.fused.saved      dispatches fusion removes per execution
 ///   vm.tier.arena.bytes      committed tier-1 arena bytes
-///   vm.tier.osr.entries      loop-backedge entries into tier-1 code
-///   vm.tier.deopts           step-budget deopts back into tier 0
+///   vm.tier.deopts           step-budget deopts into tier 0
 ///
 //===----------------------------------------------------------------------===//
 

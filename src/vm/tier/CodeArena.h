@@ -6,17 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The arena behind promoted tier-1 units, after lambdachine's MCode
+/// The arena behind translated tier-1 units, after lambdachine's MCode
 /// reserve/commit API: a translator reserves a region up to a returned
-/// limit, emits into it, and commits the high-water mark.  Two properties
-/// make the atomic code-pointer install protocol sound:
-///
-///  * chunks are never freed, reused or moved while the arena lives, so a
-///    pointer published with a release store stays valid for every reader
-///    that acquire-loads it, forever;
-///  * reserve() claims its region under the arena lock before returning,
-///    so promotions running concurrently on different executor workers
-///    can never hand out overlapping regions.
+/// limit, emits into it, and commits the high-water mark.  Chunks are
+/// never freed, reused or moved while the arena lives, so a TierUnit and
+/// the instructions it points to stay valid for every VM running them.
 ///
 /// Unlike lambdachine we emit portable pre-decoded instruction records,
 /// not executable machine code, so no mprotect dance is needed.
@@ -29,12 +23,11 @@
 #include <cstddef>
 #include <deque>
 #include <memory>
-#include <mutex>
 
 namespace m2c::vm::tier {
 
-/// Chunked bump arena with a reserve/commit protocol, safe for
-/// concurrent reservations.
+/// Chunked bump arena with a reserve/commit protocol.  Filled by one
+/// thread (the TranslatedProgram constructor), read-only afterwards.
 class CodeArena {
 public:
   explicit CodeArena(size_t ChunkBytes = 64 * 1024) : ChunkBytes(ChunkBytes) {}
@@ -43,22 +36,14 @@ public:
 
   /// Claims at least \p Bytes of storage.  Returns the base and sets
   /// \p Limit one past the claimed region; the caller emits up to Limit
-  /// and then calls commit().  The region is exclusively the caller's
-  /// from this moment (concurrent reserves get disjoint regions).
+  /// and then calls commit().
   std::byte *reserve(size_t Bytes, std::byte **Limit);
 
   /// Commits a reservation: \p Top is the first unused byte (Base <= Top
   /// <= Limit).  If the reservation is still the newest in its chunk the
-  /// unused tail is returned to the chunk; otherwise only the accounting
-  /// is updated (the tail is wasted, never reused — pointer stability is
-  /// worth more than the bytes).
+  /// unused tail is returned to the chunk; otherwise the tail is wasted,
+  /// never reused — pointer stability is worth more than the bytes.
   void commit(std::byte *Base, std::byte *Top);
-
-  /// Bytes handed out by reserve() so far (committed or in flight).
-  size_t reservedBytes() const;
-  /// Bytes actually committed as live tier-1 code.
-  size_t committedBytes() const;
-  size_t chunkCount() const;
 
 private:
   struct Chunk {
@@ -68,12 +53,9 @@ private:
   };
 
   const size_t ChunkBytes;
-  mutable std::mutex M;
   std::deque<Chunk> Chunks;
   std::byte *LastClaimBase = nullptr; ///< Newest reservation (trim check).
   std::byte *LastClaimEnd = nullptr;
-  size_t Reserved = 0;
-  size_t Committed = 0;
 };
 
 } // namespace m2c::vm::tier

@@ -6,10 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The tier-1 representation of a hot procedure: a flattened buffer of
-/// operand-specialized TInstr records dispatched with computed goto, plus
-/// the pc map that ties it back to the tier-0 (MCode) program counter at
-/// every place control can enter or leave mid-procedure.
+/// The tier-1 representation of a procedure: a flattened buffer of
+/// operand-specialized TInstr records dispatched with computed goto.
+/// Every record names the tier-0 (MCode) pc of the group it heads, which
+/// is where traps are reported and where tier 0 takes over.
 ///
 /// Step-accounting contract (what makes MaxSteps tier-independent): every
 /// TInstr carries the number of tier-0 instructions it stands for
@@ -45,8 +45,9 @@ constexpr unsigned NumT1Ops = 0
 #include "vm/tier/T1Op.def"
     ;
 
-/// Integer operator selector of the fused binop forms.
-enum class BinKind : uint8_t { Add = 0, Sub, Mul };
+/// Integer operator selector of the fused binop forms.  Div and Mod only
+/// ever pair with a positive immediate divisor (trap-free by construction).
+enum class BinKind : uint8_t { Add = 0, Sub, Mul, Div, Mod };
 
 /// Comparison selector of the fused compare-and-branch forms.
 enum class CmpKind : uint8_t { Eq = 0, Ne, Lt, Le, Gt, Ge };
@@ -70,24 +71,16 @@ struct TInstr {
 static_assert(std::is_trivially_destructible_v<TInstr>,
               "TInstrs live in the CodeArena and are never destroyed");
 
-/// A promoted procedure: installed into the owning TierManager's
-/// per-unit pointer with a release store; everything it points to lives
-/// in the arena (or in the immutable LinkedProgram) and never moves.
+/// A translated procedure.  Everything it points to lives in the arena
+/// (or in the immutable LinkedProgram) and never moves.  Execution enters
+/// at Code[0]; a call's return address is the tier-1 index after the
+/// call (the translator makes every pc-after-call a group head).
 struct TierUnit {
   int32_t UnitIndex = -1;
   const codegen::LinkedUnit *LU = nullptr;
 
   const TInstr *Code = nullptr;
   uint32_t NumInstrs = 0;
-
-  /// Tier-0 pc (0..code size, inclusive — the one-past-the-end entry maps
-  /// to the synthetic FellOff instruction) to tier-1 index of the group
-  /// headed there, or -1 for pcs interior to a fused group.  Every pc at
-  /// which control can enter the unit (entry, jump targets, return
-  /// addresses, OSR'able backedge targets) is a group head by
-  /// construction.
-  const int32_t *PcMap = nullptr;
-  uint32_t PcMapSize = 0;
 
   uint32_t FusedGroups = 0;          ///< Superinstructions emitted.
   uint32_t FusedSavedDispatches = 0; ///< Sum of (Cost - 1).

@@ -11,24 +11,28 @@
 //     targets and return addresses after calls) must head its own tier-1
 //     group, so fusion never spans one.
 //  2. Grouping — a greedy left-to-right walk fuses the trap-free shapes
-//     the optimization passes leave behind (load/load/binop/store,
-//     load/imm/compare/branch, constant stores, local copies, value
-//     returns) and maps every other instruction one-to-one.
+//     the code generator and optimization passes leave behind
+//     (load/load/binop/store, load/imm/compare/branch, INC/DEC of a local
+//     or global, constant stores, local copies, value returns) and maps
+//     every other instruction one-to-one.
 //  3. Emission — operands are specialized (strings to Symbols, callees to
 //     unit indexes, globals to (module, slot), branch targets to tier-1
-//     indexes) into one arena reservation holding the TierUnit header,
-//     the instruction buffer and the pc map.
+//     indexes) into one arena reservation holding the TierUnit header and
+//     the instruction buffer.
 //
-// Fusable components are restricted to operations that can never trap
-// (LoadLocal/PushInt on linker-validated slots, Add/Sub/Mul on integers,
-// integer comparisons, JumpIfFalse, StoreLocal, ReturnValue); DIV and MOD
-// stay un-fused so their zero-divisor traps keep their exact tier-0 pc.
+// Fusable components are restricted to operations that cannot trap where
+// they are fused (LoadLocal/LoadLocalRef/PushInt on linker-validated
+// slots, a LoadGlobalRef whose (module, slot) is checked in range here,
+// Add/Sub/Mul on integers, DIV/MOD by a positive literal, integer
+// comparisons, JumpIfFalse, IncAddr through a fused reference,
+// StoreLocal, ReturnValue).  DIV and MOD by anything else stay un-fused
+// so their zero-divisor traps keep their exact tier-0 pc.
 //
 //===----------------------------------------------------------------------===//
 
 #include "vm/tier/Translator.h"
 
-#include "vm/tier/CodeArena.h"
+#include "vm/VmStats.h"
 
 #include <cassert>
 #include <new>
@@ -36,6 +40,7 @@
 
 using namespace m2c;
 using namespace m2c::codegen;
+using namespace m2c::vm;
 using namespace m2c::vm::tier;
 
 // The 1:1 block of T1Op.def mirrors Opcode.def in order, making the cast
@@ -49,6 +54,8 @@ static_assert(static_cast<unsigned>(T1Op::Trap) ==
 
 namespace {
 
+/// The binop of a load/load form: only the operators that cannot trap
+/// whatever their operands.
 bool binKindOf(Opcode Op, BinKind &K) {
   switch (Op) {
   case Opcode::AddInt:
@@ -63,6 +70,23 @@ bool binKindOf(Opcode Op, BinKind &K) {
   default:
     return false;
   }
+}
+
+/// The binop of a load/immediate form: DIV and MOD join when the
+/// immediate divisor \p Imm is positive (no zero divisor, no
+/// INT64_MIN DIV -1 overflow).
+bool immBinKindOf(Opcode Op, int64_t Imm, BinKind &K) {
+  if (binKindOf(Op, K))
+    return true;
+  if (Imm <= 0)
+    return false;
+  if (Op == Opcode::DivInt)
+    K = BinKind::Div;
+  else if (Op == Opcode::ModInt)
+    K = BinKind::Mod;
+  else
+    return false;
+  return true;
 }
 
 bool cmpKindOf(Opcode Op, CmpKind &K) {
@@ -98,6 +122,20 @@ struct Group {
   uint8_t Len = 1;
   uint8_t Kind = 0;
 };
+
+/// True when global reference \p Ref of \p LU names a slot that exists,
+/// so accessing it cannot raise tier 0's global-reference traps.
+bool globalInRange(const LinkedProgram &Prog, const LinkedUnit &LU,
+                   int64_t Ref) {
+  if (Ref < 0 || static_cast<size_t>(Ref) >= LU.Globals.size())
+    return false;
+  const LinkedUnit::GlobalSlot &G = LU.Globals[static_cast<size_t>(Ref)];
+  return G.ModuleIndex >= 0 &&
+         static_cast<size_t>(G.ModuleIndex) < Prog.images().size() &&
+         G.Slot >= 0 &&
+         static_cast<uint32_t>(G.Slot) <
+             Prog.images()[static_cast<size_t>(G.ModuleIndex)].GlobalCount;
+}
 
 } // namespace
 
@@ -158,7 +196,7 @@ const TierUnit *m2c::vm::tier::translateUnit(const LinkedProgram &Prog,
         G.Len = 4;
         G.Kind = static_cast<uint8_t>(BK);
       } else if (MaxLen >= 4 && U.Code[Pc + 1].Op == Opcode::PushInt &&
-                 binKindOf(U.Code[Pc + 2].Op, BK) &&
+                 immBinKindOf(U.Code[Pc + 2].Op, U.Code[Pc + 1].A, BK) &&
                  U.Code[Pc + 3].Op == Opcode::StoreLocal) {
         G.Op = T1Op::FusedLIBS;
         G.Len = 4;
@@ -181,7 +219,7 @@ const TierUnit *m2c::vm::tier::translateUnit(const LinkedProgram &Prog,
         G.Len = 3;
         G.Kind = static_cast<uint8_t>(BK);
       } else if (MaxLen >= 3 && U.Code[Pc + 1].Op == Opcode::PushInt &&
-                 binKindOf(U.Code[Pc + 2].Op, BK)) {
+                 immBinKindOf(U.Code[Pc + 2].Op, U.Code[Pc + 1].A, BK)) {
         G.Op = T1Op::FusedLIB;
         G.Len = 3;
         G.Kind = static_cast<uint8_t>(BK);
@@ -192,10 +230,26 @@ const TierUnit *m2c::vm::tier::translateUnit(const LinkedProgram &Prog,
         G.Op = T1Op::FusedReturnLocal;
         G.Len = 2;
       }
-    } else if (I0.Op == Opcode::PushInt && MaxLen >= 2 &&
-               U.Code[Pc + 1].Op == Opcode::StoreLocal) {
-      G.Op = T1Op::FusedStoreConst;
-      G.Len = 2;
+    } else if (I0.Op == Opcode::PushInt) {
+      if (MaxLen >= 2 && U.Code[Pc + 1].Op == Opcode::StoreLocal) {
+        G.Op = T1Op::FusedStoreConst;
+        G.Len = 2;
+      } else if (MaxLen >= 3 && cmpKindOf(U.Code[Pc + 1].Op, CK) &&
+                 U.Code[Pc + 2].Op == Opcode::JumpIfFalse) {
+        G.Op = T1Op::FusedICmpBr;
+        G.Len = 3;
+        G.Kind = static_cast<uint8_t>(CK);
+      }
+    } else if (MaxLen >= 3 && U.Code[Pc + 1].Op == Opcode::PushInt &&
+               U.Code[Pc + 2].Op == Opcode::IncAddr) {
+      if (I0.Op == Opcode::LoadLocalRef) {
+        G.Op = T1Op::FusedIncLocal;
+        G.Len = 3;
+      } else if (I0.Op == Opcode::LoadGlobalRef &&
+                 globalInRange(Prog, LU, I0.A)) {
+        G.Op = T1Op::FusedIncGlobal;
+        G.Len = 3;
+      }
     }
 
     PcMap[Pc] = static_cast<int32_t>(Groups.size());
@@ -217,13 +271,11 @@ const TierUnit *m2c::vm::tier::translateUnit(const LinkedProgram &Prog,
   const size_t HeaderBytes =
       (sizeof(TierUnit) + alignof(TInstr) - 1) & ~(alignof(TInstr) - 1);
   const size_t CodeBytes = Groups.size() * sizeof(TInstr);
-  const size_t MapBytes = (N + 1) * sizeof(int32_t);
   std::byte *Limit = nullptr;
-  std::byte *Base = Arena.reserve(HeaderBytes + CodeBytes + MapBytes, &Limit);
+  std::byte *Base = Arena.reserve(HeaderBytes + CodeBytes, &Limit);
 
   auto *TU = new (Base) TierUnit();
   auto *Code = reinterpret_cast<TInstr *>(Base + HeaderBytes);
-  auto *Map = reinterpret_cast<int32_t *>(Base + HeaderBytes + CodeBytes);
 
   for (size_t I = 0; I < Groups.size(); ++I) {
     const Group &G = Groups[I];
@@ -253,6 +305,22 @@ const TierUnit *m2c::vm::tier::translateUnit(const LinkedProgram &Prog,
       T->C = PcMap[static_cast<size_t>(U.Code[G.Pc + 3].A)];
       assert(T->C >= 0 && "branch target is not a group head");
       break;
+    case T1Op::FusedICmpBr: // PushInt k; cmp; JumpIfFalse t
+      T->B = U.Code[G.Pc].A;
+      T->C = PcMap[static_cast<size_t>(U.Code[G.Pc + 2].A)];
+      assert(T->C >= 0 && "branch target is not a group head");
+      break;
+    case T1Op::FusedIncLocal: // LoadLocalRef a; PushInt k; IncAddr
+      T->A = U.Code[G.Pc].A;
+      T->B = U.Code[G.Pc + 1].A;
+      break;
+    case T1Op::FusedIncGlobal: { // LoadGlobalRef g; PushInt k; IncAddr
+      const LinkedUnit::GlobalSlot &G2 = LU.Globals[static_cast<size_t>(I0.A)];
+      T->A = G2.Slot;
+      T->B = U.Code[G.Pc + 1].A;
+      T->C = G2.ModuleIndex;
+      break;
+    }
     case T1Op::FusedLLB:
     case T1Op::FusedLIB:
       T->A = U.Code[G.Pc].A;
@@ -306,17 +374,34 @@ const TierUnit *m2c::vm::tier::translateUnit(const LinkedProgram &Prog,
     }
   }
 
-  for (size_t Pc = 0; Pc <= N; ++Pc)
-    Map[Pc] = PcMap[Pc];
-
   TU->UnitIndex = UnitIndex;
   TU->LU = &LU;
   TU->Code = Code;
   TU->NumInstrs = static_cast<uint32_t>(Groups.size());
-  TU->PcMap = Map;
-  TU->PcMapSize = static_cast<uint32_t>(N + 1);
-  TU->ArenaBytes = HeaderBytes + CodeBytes + MapBytes;
+  TU->ArenaBytes = HeaderBytes + CodeBytes;
 
-  Arena.commit(Base, Base + HeaderBytes + CodeBytes + MapBytes);
+  Arena.commit(Base, Base + HeaderBytes + CodeBytes);
   return TU;
+}
+
+TranslatedProgram::TranslatedProgram(const LinkedProgram &Prog)
+    : Prog(Prog), Units(Prog.units().size(), nullptr) {
+  uint64_t Instrs = 0, Fused = 0, Saved = 0, Bytes = 0;
+  for (size_t U = 0; U < Units.size(); ++U) {
+    const TierUnit *TU = translateUnit(Prog, static_cast<int32_t>(U), Arena);
+    if (!TU)
+      continue;
+    Units[U] = TU;
+    ++Translated;
+    Instrs += TU->NumInstrs;
+    Fused += TU->FusedGroups;
+    Saved += TU->FusedSavedDispatches;
+    Bytes += TU->ArenaBytes;
+  }
+  StatisticSet &S = globalVmStats();
+  S.add("vm.tier.promotions", Translated);
+  S.add("vm.tier.instrs", Instrs);
+  S.add("vm.tier.fused.groups", Fused);
+  S.add("vm.tier.fused.saved", Saved);
+  S.add("vm.tier.arena.bytes", Bytes);
 }

@@ -7,7 +7,6 @@
 
 #include "driver/SequentialCompiler.h"
 #include "vm/VM.h"
-#include "vm/tier/TierManager.h"
 
 #include <gtest/gtest.h>
 
@@ -189,15 +188,12 @@ TEST(Vm, StepLimitIdenticalAcrossTiers) {
   Prog.addImage(std::move(R.Image));
   ASSERT_TRUE(Prog.link());
   auto RunWith = [&](vm::tier::TierMode Mode, uint64_t MaxSteps) {
-    vm::tier::TierPolicy Policy;
-    Policy.Mode = Mode;
-    vm::VM Machine(Prog);
-    Machine.setTierPolicy(Policy);
+    vm::VM Machine(Prog, Mode);
     return Machine.run(F.Interner.intern("T"), MaxSteps);
   };
   for (uint64_t Budget : {1u, 7u, 50u, 113u, 200u, 100'000u}) {
     auto T0 = RunWith(vm::tier::TierMode::Tier0Only, Budget);
-    auto T1 = RunWith(vm::tier::TierMode::ForceTier1, Budget);
+    auto T1 = RunWith(vm::tier::TierMode::Tier1, Budget);
     EXPECT_EQ(T0.Trapped, T1.Trapped) << "budget " << Budget;
     EXPECT_EQ(T0.TrapMessage, T1.TrapMessage) << "budget " << Budget;
     EXPECT_EQ(T0.Output, T1.Output) << "budget " << Budget;
