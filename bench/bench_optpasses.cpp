@@ -67,7 +67,7 @@ constexpr const char *HotSource =
 
 struct HotProgram {
   StringInterner Interner;
-  vm::Program Prog{Interner};
+  codegen::LinkedProgram Prog;
   size_t Instrs = 0;
   std::string Output;
 
@@ -82,12 +82,14 @@ struct HotProgram {
     }
     for (const codegen::CodeUnit &U : R.Image.Units)
       Instrs += U.Code.size();
-    Prog.addImage(std::move(R.Image));
-    if (!Prog.link()) {
+    codegen::Linker Link(Interner);
+    Link.addImage(std::move(R.Image));
+    Prog = Link.link();
+    if (!Prog.ok()) {
       std::fprintf(stderr, "Hot link failed\n");
       std::exit(1);
     }
-    vm::VM Machine(Prog);
+    vm::VM Machine(Prog, Interner);
     vm::VM::RunResult Run = Machine.run(Interner.intern("Hot"), 1'000'000'000);
     if (Run.Trapped) {
       std::fprintf(stderr, "Hot trapped: %s\n", Run.TrapMessage.c_str());
@@ -166,7 +168,7 @@ void BM_VmExecution(benchmark::State &State) {
   opt::OptLevel Level = static_cast<opt::OptLevel>(State.range(0));
   HotProgram &P = hot(Level);
   for (auto _ : State) {
-    vm::VM Machine(P.Prog);
+    vm::VM Machine(P.Prog, P.Interner);
     vm::VM::RunResult Run = Machine.run(P.Interner.intern("Hot"),
                                         1'000'000'000);
     if (Run.Trapped)

@@ -41,7 +41,7 @@ namespace {
 /// benchmark (the VM never mutates the linked program).
 struct ComputeProgram {
   StringInterner Interner;
-  vm::Program Prog{Interner};
+  codegen::LinkedProgram Prog;
   Symbol Main;
   std::string Output; ///< Tier-0 reference output.
 
@@ -67,14 +67,16 @@ struct ComputeProgram {
                    R.DiagnosticText.c_str());
       std::exit(1);
     }
-    Prog.addImage(std::move(R.Image));
-    if (!Prog.link()) {
+    codegen::Linker Link(Interner);
+    Link.addImage(std::move(R.Image));
+    Prog = Link.link();
+    if (!Prog.ok()) {
       std::fprintf(stderr, "compute workload link failed\n");
       std::exit(1);
     }
     Main = Interner.intern(Info.Name);
 
-    vm::VM Machine(Prog, TierMode::Tier0Only);
+    vm::VM Machine(Prog, Interner, TierMode::Tier0Only);
     vm::VM::RunResult Run = Machine.run(Main, 1'000'000'000);
     if (Run.Trapped) {
       std::fprintf(stderr, "compute workload trapped: %s\n",
@@ -85,13 +87,13 @@ struct ComputeProgram {
   }
 
   vm::VM::RunResult runIn(TierMode Mode) {
-    vm::VM Machine(Prog, Mode);
+    vm::VM Machine(Prog, Interner, Mode);
     return Machine.run(Main, 1'000'000'000);
   }
 
   vm::VM::RunResult
   runOn(const std::shared_ptr<const TranslatedProgram> &Code) {
-    vm::VM Machine(Prog.linked(), Prog.names(), Code);
+    vm::VM Machine(Prog, Interner, Code);
     return Machine.run(Main, 1'000'000'000);
   }
 };
@@ -104,7 +106,7 @@ ComputeProgram &compute() {
 /// One shared translation: steady-state tier 1.
 const std::shared_ptr<const TranslatedProgram> &warmCode() {
   static const std::shared_ptr<const TranslatedProgram> Code =
-      std::make_shared<const TranslatedProgram>(compute().Prog.linked());
+      std::make_shared<const TranslatedProgram>(compute().Prog);
   return Code;
 }
 
@@ -146,7 +148,7 @@ void BM_TranslateAll(benchmark::State &State) {
   ComputeProgram &P = compute();
   size_t Units = 0;
   for (auto _ : State) {
-    TranslatedProgram Code(P.Prog.linked());
+    TranslatedProgram Code(P.Prog);
     Units = Code.translated();
     benchmark::DoNotOptimize(Units);
   }

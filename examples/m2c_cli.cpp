@@ -638,7 +638,7 @@ int main(int Argc, char **Argv) {
                       EmitObjects, Stats, CacheStats, Tiering);
   }
 
-  vm::Program Program(Names);
+  codegen::Linker Link(Names);
   std::string RunModule;
   for (const std::string &Module : Modules) {
     if (Module.size() > 4 &&
@@ -667,7 +667,7 @@ int main(int Argc, char **Argv) {
       RunModule = std::string(Names.spelling(Image->ModuleName));
       std::printf("%s: loaded %zu units\n", Module.c_str(),
                   Image->Units.size());
-      Program.addImage(std::move(*Image));
+      Link.addImage(std::move(*Image));
       continue;
     }
     RunModule = Module;
@@ -711,17 +711,18 @@ int main(int Argc, char **Argv) {
       Out << codegen::writeObjectFile(R.Image, Names);
       std::printf("wrote %s.mco\n", Module.c_str());
     }
-    Program.addImage(std::move(R.Image));
+    Link.addImage(std::move(R.Image));
   }
 
   if (!Run)
     return 0;
-  if (!Program.link()) {
+  codegen::LinkedProgram Program = Link.link();
+  if (!Program.ok()) {
     for (const std::string &E : Program.errors())
       std::fprintf(stderr, "link error: %s\n", E.c_str());
     return 1;
   }
-  vm::VM Machine(Program, Tiering);
+  vm::VM Machine(Program, Names, Tiering);
   vm::VM::RunResult Result = Machine.run(Names.intern(RunModule));
   std::fputs(Result.Output.c_str(), stdout);
   if (Stats)

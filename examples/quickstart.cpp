@@ -59,14 +59,15 @@ int main() {
               Result.StreamCount, Result.Image.Units.size());
 
   // 3. Link and run.
-  vm::Program Program(Names);
-  Program.addImage(std::move(Result.Image));
-  if (!Program.link()) {
+  codegen::Linker Link(Names);
+  Link.addImage(std::move(Result.Image));
+  codegen::LinkedProgram Program = Link.link();
+  if (!Program.ok()) {
     for (const std::string &E : Program.errors())
       std::fprintf(stderr, "link error: %s\n", E.c_str());
     return 1;
   }
-  vm::VM Machine(Program);
+  vm::VM Machine(Program, Names);
   vm::VM::RunResult Run = Machine.run(Names.intern("Primes"));
   if (Run.Trapped) {
     std::fprintf(stderr, "runtime trap: %s\n", Run.TrapMessage.c_str());

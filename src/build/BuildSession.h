@@ -23,6 +23,11 @@
 /// cleanly compiled module, so cross-module incremental builds recompile
 /// only what an edit actually invalidates.
 ///
+/// The session is the only orchestrator of a concurrent compile: the
+/// single-module ConcurrentCompiler is a one-module run (buildModule)
+/// that skips discovery, so both share one cache prepass, executor run,
+/// store gate and time ledger.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef M2C_BUILD_BUILDSESSION_H
@@ -37,6 +42,10 @@
 #include <memory>
 #include <string>
 #include <vector>
+
+namespace m2c {
+class StatisticSet;
+}
 
 namespace m2c::sema {
 class Compilation;
@@ -71,7 +80,7 @@ struct BuildResult {
   std::string DiagnosticText;
 
   /// Virtual units (simulated) or wall nanoseconds (threaded), including
-  /// discovery and cache prepass/store work.
+  /// discovery (none for buildModule) and cache prepass/store work.
   uint64_t ElapsedUnits = 0;
   double SimSeconds = 0.0; ///< ElapsedUnits in simulated seconds.
 
@@ -134,9 +143,23 @@ public:
   BuildResult build(const std::vector<std::string> &Roots,
                     SessionExternals Ext);
 
+  /// Compiles the single module \p Module without discovering its import
+  /// graph: its own Importer tasks find the interfaces it needs, as the
+  /// paper's one-module compiler does, and no discovery is charged.  The
+  /// result's only ModuleBuild is \p Module (none when its file is
+  /// missing).  Interface cycles are not refused here; that guard needs
+  /// the graph.
+  BuildResult buildModule(std::string_view Module);
+
 private:
-  BuildResult buildImpl(const std::vector<std::string> &Roots,
-                        SessionExternals *Ext);
+  struct Run;
+  BuildResult discoverAndRun(const std::vector<std::string> &Roots,
+                             SessionExternals *Ext);
+  /// The run after discovery: cache prepass, one executor, a pipeline per
+  /// module, store gate and the time ledger.  \p Graph is null for a
+  /// one-module run.
+  BuildResult run(Run &R, const std::vector<Symbol> &Modules,
+                  const BuildGraph *Graph);
 
   VirtualFileSystem &Files;
   StringInterner &Interner;

@@ -7,7 +7,6 @@
 
 #include "build/ModulePipeline.h"
 
-#include "cache/CompilationCache.h"
 #include "codegen/CodeGenerator.h"
 #include "lex/Lexer.h"
 #include "parse/Parser.h"
@@ -16,7 +15,6 @@
 #include "split/Splitter.h"
 
 #include <cassert>
-#include <unordered_map>
 
 using namespace m2c;
 using namespace m2c::ast;
@@ -35,8 +33,11 @@ ModulePipeline::ProcStream::ProcStream(Symbol Name, std::string Qual,
 ModulePipeline::ModulePipeline(const driver::CompilerOptions &Options,
                                Compilation &Comp, std::string_view ModuleName,
                                TaskSpawner &Spawner,
+                               const opt::PassManager *Passes,
+                               StatisticSet *OptStats,
                                DiagnosticsEngine *RequestDiags)
-    : Options(Options), Comp(Comp), Spawner(Spawner),
+    : Options(Options), Comp(Comp), Spawner(Spawner), Passes(Passes),
+      OptStats(OptStats),
       SessionDiags(RequestDiags ? *RequestDiags : Comp.Diags),
       ModName(Comp.Interner.intern(ModuleName)), Merge(ModName),
       RawQueue(std::string(ModuleName) + ".raw", &Comp.TokenBlocks),
@@ -275,7 +276,7 @@ void ModulePipeline::spawnCodeGen(ProcStream *Stream, StmtList Body,
         const StmtList &Body = *BodyPtr;
         if (!Stream) {
           codegen::CodeGenerator CG(Comp, *ModuleScopePtr, ModName,
-                                    Options.Passes, Options.OptStats);
+                                    Passes, OptStats);
           Merge.addUnit(CG.generateModuleBody(Body, Weight));
           return;
         }
@@ -284,7 +285,7 @@ void ModulePipeline::spawnCodeGen(ProcStream *Stream, StmtList Body,
         if (!Entry)
           return; // Heading failed (redeclaration); error reported.
         codegen::CodeGenerator CG(Comp, *Stream->ProcScope, ModName,
-                                  Options.Passes, Options.OptStats);
+                                  Passes, OptStats);
         Merge.addUnit(CG.generateProcedure(
             *Entry, Body,
             std::string(Comp.Interner.spelling(ModName)) + "." +
@@ -368,28 +369,4 @@ bool ModulePipeline::setup() {
 size_t ModulePipeline::procStreamCount() {
   std::lock_guard<std::mutex> Lock(StreamsMutex);
   return ProcStreams.size();
-}
-
-//===--- Cache store helper ------------------------------------------------===//
-
-void build::storeCacheEntries(cache::CompilationCache &Cache,
-                              const cache::CachePlan &Plan,
-                              const codegen::ModuleImage &Image,
-                              uint64_t StreamCount,
-                              const StringInterner &Interner) {
-  std::unordered_map<std::string_view, const codegen::CodeUnit *> ByName;
-  for (const codegen::CodeUnit &U : Image.Units)
-    ByName.emplace(U.QualifiedName, &U);
-  for (const cache::StreamPlan &S : Plan.Streams) {
-    if (S.Hit)
-      continue;
-    auto It = ByName.find(S.QualifiedName);
-    // Absent unit: the heading was parsed but analysis dropped it (can
-    // only happen with diagnostics, which the gate excludes) — skipped
-    // defensively anyway.
-    if (It != ByName.end())
-      Cache.storeStream(S.Key, *It->second, Interner);
-  }
-  Cache.storeModule(Plan.ModuleKey, Plan.ModTextHash, Plan.Deps, Image,
-                    StreamCount, Interner);
 }

@@ -34,6 +34,7 @@
 #include "driver/CompilerOptions.h"
 #include "lex/TokenBlockQueue.h"
 #include "sema/Compilation.h"
+#include "support/Statistic.h"
 #include "symtab/Scope.h"
 
 #include <atomic>
@@ -42,6 +43,9 @@
 #include <string>
 #include <vector>
 
+namespace m2c::opt {
+class PassManager;
+}
 namespace m2c::sema {
 class DeclAnalyzer;
 }
@@ -54,6 +58,9 @@ class ModulePipeline {
 public:
   /// \p Options and \p Comp must outlive the pipeline; tasks are routed
   /// through \p Spawner onto the run's (possibly shared) executor.
+  /// Codegen tasks run every unit through \p Passes (null: no
+  /// optimization) and count into \p OptStats (when non-null); both are
+  /// the run's and must outlive it.
   /// \p RequestDiags, when non-null, receives the pipeline's location-less
   /// conditions (missing module file, cache-plan divergence) instead of
   /// \p Comp's shared engine: a service request filters the shared engine
@@ -62,6 +69,8 @@ public:
   ModulePipeline(const driver::CompilerOptions &Options,
                  sema::Compilation &Comp, std::string_view ModuleName,
                  TaskSpawner &Spawner,
+                 const opt::PassManager *Passes = nullptr,
+                 StatisticSet *OptStats = nullptr,
                  DiagnosticsEngine *RequestDiags = nullptr);
   ModulePipeline(const ModulePipeline &) = delete;
   ModulePipeline &operator=(const ModulePipeline &) = delete;
@@ -133,6 +142,8 @@ private:
   const driver::CompilerOptions &Options;
   sema::Compilation &Comp;
   TaskSpawner &Spawner;
+  const opt::PassManager *Passes;
+  StatisticSet *OptStats;
   /// Where location-less conditions are reported: the request's engine
   /// under a service, \p Comp's shared engine otherwise.
   DiagnosticsEngine &SessionDiags;
@@ -156,15 +167,6 @@ private:
   std::mutex MainChildrenMutex;
   std::vector<ProcStream *> MainChildren;
 };
-
-/// Stores one finished compile back into the cache: every missed stream's
-/// unit plus the whole-module entry.  Callers gate on zero diagnostics
-/// (only fully clean compiles become entries) and on the plan not having
-/// been dropped.  Charges CacheLookup work to the active context.
-void storeCacheEntries(cache::CompilationCache &Cache,
-                       const cache::CachePlan &Plan,
-                       const codegen::ModuleImage &Image,
-                       uint64_t StreamCount, const StringInterner &Interner);
 
 } // namespace m2c::build
 

@@ -6,12 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tasks are created both while a run is being wired up (before
-/// Executor::run()) and from inside already-running tasks (the Splitter
-/// and Importer start new streams mid-run).  The first kind must go to
-/// the executor directly; the second must go through the current
-/// ExecContext so each executor can apply its own scheduling policy.
-/// TaskSpawner routes both correctly and is shared by every pipeline and
+/// Tasks are created both outside any task — while a run is being wired
+/// up, or on a request thread of a serving executor — and from inside
+/// running tasks (the Splitter and Importer start new streams mid-run).
+/// The first kind must go to the executor directly; the second must go
+/// through the current ExecContext so each executor can apply its own
+/// scheduling policy and request-tag inheritance.  TaskSpawner routes
+/// both by asking the context, and is shared by every pipeline and
 /// interface stream of one run — a build session submits the task graphs
 /// of many modules through one spawner onto one executor.
 ///
@@ -23,58 +24,45 @@
 #include "sched/ExecContext.h"
 #include "sched/Executor.h"
 
-#include <atomic>
 #include <memory>
 
 namespace m2c::build {
 
-/// Routes task submission correctly both before Executor::run() (to the
-/// executor) and from inside running tasks (to the current context).
+/// Routes task submission to the executor from outside a task and to
+/// the current context from inside one.
 class TaskSpawner {
 public:
-  explicit TaskSpawner(sched::Executor &Exec) : Exec(Exec) {}
+  /// \p Tag is the executor request this spawner submits for, stamped on
+  /// every untagged task; null for one-shot runs and for service-lifetime
+  /// work such as shared interface streams.
+  explicit TaskSpawner(sched::Executor &Exec,
+                       std::shared_ptr<void> Tag = nullptr)
+      : Exec(Exec), RequestTag(std::move(Tag)) {}
   TaskSpawner(const TaskSpawner &) = delete;
   TaskSpawner &operator=(const TaskSpawner &) = delete;
 
   void spawn(sched::TaskPtr T) {
-    if (ServiceMode) {
-      // Under a persistent (serving) executor there is no before/after
-      // run() distinction; what matters is where the submission comes
-      // from.  Inside an executor task, go through the context (policy +
-      // request-tag inheritance).  On a request thread, go to the
-      // executor directly — the thread-local context there is a plain
-      // SequentialContext that would queue the task and never run it.
-      bool InTask = sched::ctx().isTaskContext();
-      if (!T->requestTag()) {
-        if (RequestTag) {
-          T->setRequestTag(RequestTag);
-        } else if (!InTask) {
-          // A spawner with no tag of its own (the shared interface
-          // pool's) submitting from a request thread has no spawning
-          // task to inherit a tag from either; charge the task to the
-          // request the thread is setting up (RequestTagScope) so
-          // awaitRequest() counts and waits for it.
-          if (const std::shared_ptr<void> &Tag = threadRequestTag())
-            T->setRequestTag(Tag);
-        }
+    bool InTask = sched::ctx().isTaskContext();
+    if (!T->requestTag()) {
+      if (RequestTag) {
+        T->setRequestTag(RequestTag);
+      } else if (!InTask) {
+        // A spawner with no tag of its own (the shared interface pool's)
+        // submitting from a request thread has no spawning task to
+        // inherit a tag from either; charge the task to the request the
+        // thread is setting up (RequestTagScope) so awaitRequest() counts
+        // and waits for it.
+        if (const std::shared_ptr<void> &Tag = threadRequestTag())
+          T->setRequestTag(Tag);
       }
-      if (InTask)
-        sched::ctx().spawn(std::move(T));
-      else
-        Exec.spawn(std::move(T));
-      return;
     }
-    if (RequestTag && !T->requestTag())
-      T->setRequestTag(RequestTag);
-    if (InsideRun.load(std::memory_order_acquire))
+    // Outside a task the thread-local context is a plain
+    // SequentialContext that would queue the task and never run it.
+    if (InTask)
       sched::ctx().spawn(std::move(T));
     else
       Exec.spawn(std::move(T));
   }
-
-  /// Call immediately before Executor::run(): from here on, new tasks are
-  /// submitted through the spawning task's execution context.
-  void enterRun() { InsideRun.store(true, std::memory_order_release); }
 
   /// RAII: marks the calling thread as wiring tasks for request \p Tag
   /// while it runs setup code outside any task context.  A BuildSession
@@ -97,17 +85,6 @@ public:
     std::shared_ptr<void> Prev;
   };
 
-  /// Switches the spawner to service routing and stamps \p Tag (the
-  /// executor request this spawner submits for; may be null for
-  /// service-lifetime work such as shared interface streams) on every
-  /// untagged task.  Call before the first spawn.
-  void setService(std::shared_ptr<void> Tag) {
-    ServiceMode = true;
-    RequestTag = std::move(Tag);
-  }
-
-  sched::Executor &executor() { return Exec; }
-
 private:
   /// The request the calling thread is currently setting up, null
   /// otherwise.  Function-local so the header needs no out-of-line
@@ -118,8 +95,6 @@ private:
   }
 
   sched::Executor &Exec;
-  std::atomic<bool> InsideRun{false};
-  bool ServiceMode = false;
   std::shared_ptr<void> RequestTag;
 };
 

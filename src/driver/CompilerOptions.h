@@ -13,15 +13,9 @@
 #include "sched/CostModel.h"
 #include "sema/Compilation.h"
 
-namespace m2c {
-class StatisticSet;
-namespace cache {
+namespace m2c::cache {
 class CompilationCache;
 }
-namespace opt {
-class PassManager;
-}
-} // namespace m2c
 
 namespace m2c::driver {
 
@@ -40,12 +34,6 @@ struct CompilerOptions {
   /// stream's unit independently (see opt/PassManager.h).  The level is
   /// folded into every cache fingerprint.
   opt::OptLevel Level = opt::defaultOptLevel();
-  /// The pass pipeline for Level, set by the driver for the duration of
-  /// one run (codegen tasks share it; null = no optimization).  Callers
-  /// configuring a compile only set Level — drivers own the manager.
-  const opt::PassManager *Passes = nullptr;
-  /// Where per-pass opt.* counters land when non-null.
-  StatisticSet *OptStats = nullptr;
   ExecutorKind Executor = ExecutorKind::Simulated;
   unsigned Processors = 1;
   sched::CostModel Cost;

@@ -20,6 +20,7 @@
 ///                           heading — the section 2.4 avoided event)
 ///
 /// Per-procedure code units are merged by concatenation in any order.
+/// The run itself is a one-module build::BuildSession (buildModule).
 ///
 //===----------------------------------------------------------------------===//
 

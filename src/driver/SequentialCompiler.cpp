@@ -141,15 +141,9 @@ CompileResult SequentialCompiler::compile(std::string_view ModuleName) {
       CompilationOptions{Options.Strategy, Options.Sharing});
   Result.Compilation = Comp;
 
-  // The run's pass pipeline: honor an externally supplied manager (a
-  // build session sharing one across requests), else build the standard
-  // roster for the requested level.
-  opt::PassManager OwnedPasses = opt::PassManager::forLevel(Options.Level);
-  const opt::PassManager *Passes =
-      Options.Passes ? Options.Passes : &OwnedPasses;
-  StatisticSet LocalOptStats;
-  StatisticSet *OptStats =
-      Options.OptStats ? Options.OptStats : &LocalOptStats;
+  // The run's pass pipeline and its opt.* counters.
+  const opt::PassManager Passes = opt::PassManager::forLevel(Options.Level);
+  StatisticSet OptStats;
 
   // Cache prepass (module granularity: the one-pass compiler has no
   // streams to skip individually, but an unchanged module still replays
@@ -159,7 +153,7 @@ CompileResult SequentialCompiler::compile(std::string_view ModuleName) {
     cache::CachePlanner Planner(
         Files, Interner, *Options.Cache,
         cache::CacheFingerprint{Options.Strategy, Options.Sharing,
-                                Passes->configString(), "seq"},
+                                Passes.configString(), "seq"},
         Options.Cost);
     Plan = Planner.probeModule(ModuleName);
     if (Plan.ModuleHit) {
@@ -179,8 +173,8 @@ CompileResult SequentialCompiler::compile(std::string_view ModuleName) {
 
   Symbol ModSym = Interner.intern(ModuleName);
   codegen::Merger Merger(ModSym);
-  SeqState State{*Comp, Merger, Passes->empty() ? nullptr : Passes,
-                 OptStats,      {},
+  SeqState State{*Comp, Merger, Passes.empty() ? nullptr : &Passes,
+                 &OptStats,     {},
                  {},            {}};
 
   Comp->Modules.setStarter([&State](Symbol Name, Scope &ModScope) {
@@ -249,6 +243,6 @@ CompileResult SequentialCompiler::compile(std::string_view ModuleName) {
                       static_cast<double>(Options.Cost.UnitsPerSecond);
   if (Options.Cache)
     Result.CacheStats = Options.Cache->stats().snapshot();
-  Result.OptStats = OptStats->snapshot();
+  Result.OptStats = OptStats.snapshot();
   return Result;
 }

@@ -187,6 +187,13 @@ private:
   /// Blocks until a concurrency token is available (handled-wait resume).
   void acquireTokenBlocking();
 
+  /// Starts the clock and the initial pool of Processors workers.
+  void startWorkers();
+  /// Wakes every parked worker and resumer, joins all workers, records
+  /// the elapsed time, flushes statistics and leaves the executor
+  /// startable again.
+  void stopWorkers();
+
   /// Wakes a parked worker, or spawns a new OS thread when ready work
   /// exists, no worker is parked, and a token is free (all existing
   /// workers' tasks are blocked in waits).

@@ -26,15 +26,13 @@ BuildService::BuildService(VirtualFileSystem &Files, StringInterner &Interner,
            sema::CompilationOptions{Config.Strategy, Config.Sharing},
            Config.MaxPooledInterfaces),
       Queue(Config.MaxActiveRequests) {
-  if (Config.UseCache) {
-    std::unique_ptr<cache::CacheStore> Disk;
-    if (!Config.CacheDir.empty())
-      Disk = std::make_unique<cache::DiskCacheStore>(Config.CacheDir);
-    auto TierPtr = std::make_unique<MemoryCacheTier>(std::move(Disk),
-                                                     Config.MemoryTierBytes);
-    Tier = TierPtr.get();
-    Cache = std::make_unique<cache::CompilationCache>(std::move(TierPtr));
-  }
+  std::unique_ptr<cache::CacheStore> Disk;
+  if (!Config.CacheDir.empty())
+    Disk = std::make_unique<cache::DiskCacheStore>(Config.CacheDir);
+  auto TierPtr = std::make_unique<MemoryCacheTier>(std::move(Disk),
+                                                   Config.MemoryTierBytes);
+  Tier = TierPtr.get();
+  Cache = std::make_unique<cache::CompilationCache>(std::move(TierPtr));
   Exec.startService();
 }
 
@@ -181,15 +179,12 @@ std::map<std::string, uint64_t> BuildService::statsSnapshot() {
     for (const auto &[Name, Value] : From)
       Merged[Name] += Value;
   };
-  if (Cache)
-    Fold(Cache->stats().snapshot());
-  if (Tier) {
-    Fold(Tier->stats().snapshot());
-    // Disk-store integrity counters (cache.disk.*): corrupt entries healed
-    // on read, orphaned temps swept at startup.
-    if (auto *Disk = dynamic_cast<cache::DiskCacheStore *>(Tier->backing()))
-      Fold(Disk->stats().snapshot());
-  }
+  Fold(Cache->stats().snapshot());
+  Fold(Tier->stats().snapshot());
+  // Disk-store integrity counters (cache.disk.*): corrupt entries healed
+  // on read, orphaned temps swept at startup.
+  if (auto *Disk = dynamic_cast<cache::DiskCacheStore *>(Tier->backing()))
+    Fold(Disk->stats().snapshot());
   Fold(ServiceStats.snapshot());
   Merged["service.generations"] = Pool.generationCount();
   Merged["service.pool.caprotations"] = Pool.capRotationCount();

@@ -59,7 +59,6 @@ struct ServiceConfig {
   opt::OptLevel Level = opt::defaultOptLevel();
   sched::CostModel Cost;
   unsigned MaxActiveRequests = 8; ///< FIFO admission bound.
-  bool UseCache = true;           ///< Artifact tiers on/off.
   size_t MemoryTierBytes = static_cast<size_t>(64) << 20;
   /// Bound on distinct .def files one SharedInterfacePool generation may
   /// accumulate (0 = unbounded).  Farm workers run bounded so a worker
@@ -122,8 +121,6 @@ public:
 
   const ServiceConfig &config() const { return Config; }
   sched::ThreadedExecutor &executor() { return Exec; }
-  cache::CompilationCache *cache() { return Cache.get(); }
-  MemoryCacheTier *memoryTier() { return Tier; }
   SharedInterfacePool &interfacePool() { return Pool; }
 
 private:

@@ -227,7 +227,7 @@ VM::RunResult VM::run(Symbol MainModule, uint64_t MaxSteps) {
 
 VM::Frame &VM::pushFrame(Exec &E, int32_t UnitIndex, Frame *StaticLink,
                          size_t ReturnPc, int32_t ReturnUnit) {
-  const Program::LinkedUnit &LU = Prog.units()[static_cast<size_t>(UnitIndex)];
+  const codegen::LinkedUnit &LU = Prog.units()[static_cast<size_t>(UnitIndex)];
   E.Frames.emplace_back();
   Frame &F = E.Frames.back();
   F.Unit = &LU;

@@ -1,4 +1,4 @@
-//===--- VM.h - MCode linker and interpreter --------------------*- C++ -*-===//
+//===--- VM.h - MCode interpreter -------------------------------*- C++ -*-===//
 //
 // Part of m2c, a concurrent Modula-2+ compiler reproducing Wortman & Junkin,
 // "A Concurrent Compiler for Modula-2+" (PLDI 1992).
@@ -6,10 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Links ModuleImages produced by separate compilations into one runnable
-/// program and interprets it.  The paper's compiler emitted VAX code for
-/// Topaz; our object format is MCode, and this interpreter is the
-/// execution substrate that lets examples and tests run compiled
+/// Interprets a program that codegen::Linker linked from ModuleImages
+/// produced by separate compilations.  The paper's compiler emitted VAX
+/// code for Topaz; our object format is MCode, and this interpreter is
+/// the execution substrate that lets examples and tests run compiled
 /// Modula-2+ end to end.
 ///
 //===----------------------------------------------------------------------===//
@@ -43,52 +43,7 @@ enum class TierMode : uint8_t {
 TierMode tierModeFromEnv();
 } // namespace tier
 
-/// A set of module images linked into a runnable program.  Thin wrapper
-/// over codegen::Linker kept for the add-then-link call style the
-/// examples and tests use; the VM can also interpret a LinkedProgram
-/// produced elsewhere (a build session) directly.
-class Program {
-public:
-  using LinkedUnit = codegen::LinkedUnit;
-
-  explicit Program(const StringInterner &Names) : Names(Names), Link(Names) {}
-
-  /// Adds one compiled module.  Call before link().
-  void addImage(codegen::ModuleImage Image) {
-    assert(!Linked && "addImage after link");
-    Link.addImage(std::move(Image));
-  }
-
-  /// Resolves cross-module references and computes initialization order.
-  /// Returns true on success; on failure errors() describes the problems.
-  bool link() {
-    assert(!Linked && "link called twice");
-    Linked = true;
-    Prog = Link.link();
-    return Prog.ok();
-  }
-
-  const std::vector<std::string> &errors() const { return Prog.errors(); }
-
-  const std::vector<codegen::ModuleImage> &images() const {
-    return Prog.images();
-  }
-  const std::vector<LinkedUnit> &units() const { return Prog.units(); }
-  const std::vector<int32_t> &initOrder() const { return Prog.initOrder(); }
-  int32_t findUnit(Symbol Module, const std::string &Name) const {
-    return Prog.findUnit(Module, Name);
-  }
-  const StringInterner &names() const { return Names; }
-  const codegen::LinkedProgram &linked() const { return Prog; }
-
-private:
-  const StringInterner &Names;
-  codegen::Linker Link;
-  codegen::LinkedProgram Prog;
-  bool Linked = false;
-};
-
-/// Interprets a linked Program.
+/// Interprets a codegen::LinkedProgram.
 ///
 /// Execution is tiered (see vm/tier/): the VM translates every unit into
 /// pre-decoded threaded code (tier 1) when it is constructed and runs
@@ -100,12 +55,7 @@ private:
 /// across tiers.
 class VM {
 public:
-  explicit VM(const Program &Prog,
-              tier::TierMode Mode = tier::tierModeFromEnv())
-      : VM(Prog.linked(), Prog.names(), Mode) {}
-
-  /// Interprets a LinkedProgram produced directly by codegen::Linker
-  /// (e.g. from a build session's images).
+  /// Interprets \p Prog, linked by codegen::Linker over \p Names.
   VM(const codegen::LinkedProgram &Prog, const StringInterner &Names,
      tier::TierMode Mode = tier::tierModeFromEnv());
 
@@ -134,7 +84,7 @@ private:
   struct Frame {
     std::vector<Value> Slots;
     Frame *StaticLink = nullptr;
-    const Program::LinkedUnit *Unit = nullptr;
+    const codegen::LinkedUnit *Unit = nullptr;
     size_t ReturnPc = 0;
     int32_t ReturnUnit = -1;
     /// Tier-1 index to resume the caller at; set by tier-1 calls only.

@@ -289,6 +289,48 @@ TEST(BuildTest, SessionImagesMatchPerModuleCompiles) {
   }
 }
 
+// The single-module compile is a one-module session run that skips
+// discovery, so the paper's speedup figures are charged what they always
+// were.  On paper-suite programs (the largest included) and on a broken
+// module, ConcurrentCompiler and a one-root BuildSession must agree on
+// everything but time, and differ in time by exactly the discovery.
+TEST(BuildTest, OneRootSessionEqualsSingleModuleCompilePlusDiscovery) {
+  BuildFixture T;
+  std::vector<workload::ModuleSpec> Suite =
+      workload::WorkloadGenerator::paperSuite();
+  workload::WorkloadGenerator Gen(T.Files);
+  std::vector<std::string> Roots;
+  for (size_t I : {0u, 4u, 18u, 36u}) {
+    Gen.generate(Suite[I]);
+    Roots.push_back(Suite[I].Name);
+  }
+  T.Files.addFile("Broken.mod", "MODULE Broken;\nIMPORT Suite0I0;\n"
+                                "VAR x: INTEGER;\n"
+                                "BEGIN x := Missing + 1 END Broken.\n");
+  Roots.push_back("Broken");
+
+  for (unsigned P : {1u, 8u}) {
+    for (const std::string &Root : Roots) {
+      SCOPED_TRACE(Root + " at P=" + std::to_string(P));
+      CompilerOptions Options = T.options();
+      Options.Processors = P;
+      ConcurrentCompiler C(T.Files, T.Interner, Options);
+      CompileResult Conc = C.compile(Root);
+      build::BuildResult S = T.session({Root}, Options);
+      EXPECT_EQ(Conc.Success, Root != "Broken");
+      EXPECT_EQ(Conc.Success, S.Success);
+      EXPECT_EQ(Conc.DiagnosticText, S.DiagnosticText);
+      ASSERT_EQ(S.Modules.size(), 1u);
+      EXPECT_EQ(T.render(Conc.Image), T.render(S.Modules[0].Image));
+      EXPECT_EQ(Conc.StreamCount, S.Modules[0].StreamCount);
+      uint64_t Discovery = T.stat(S.BuildStats, "build.discovery.units");
+      EXPECT_GT(Discovery, 0u);
+      EXPECT_GT(Conc.ElapsedUnits, 0u);
+      EXPECT_EQ(Conc.ElapsedUnits + Discovery, S.ElapsedUnits);
+    }
+  }
+}
+
 TEST(BuildTest, SessionParsesEachInterfaceOnce) {
   BuildFixture T;
   workload::WorkloadGenerator Gen(T.Files);
@@ -427,7 +469,6 @@ TEST(BuildTest, DivergentCachePlanIsDroppedGracefully) {
     build::ModulePipeline Pipe(Options, *Comp, "Calc", Spawner);
     Pipe.setPlan(&Plan);
     EXPECT_TRUE(Pipe.setup());
-    Spawner.enterRun();
     Exec.run();
 
     EXPECT_TRUE(Pipe.planDropped());

@@ -348,10 +348,11 @@ TEST(ObjectFile, ReadImageRunsInTheVm) {
   auto Read = readObjectFile(Text, Fresh, Error);
   ASSERT_TRUE(Read.has_value()) << Error;
 
-  vm::Program Prog(Fresh);
-  Prog.addImage(std::move(*Read));
-  ASSERT_TRUE(Prog.link());
-  vm::VM Machine(Prog);
+  codegen::Linker Link(Fresh);
+  Link.addImage(std::move(*Read));
+  codegen::LinkedProgram Prog = Link.link();
+  ASSERT_TRUE(Prog.ok());
+  vm::VM Machine(Prog, Fresh);
   auto Run = Machine.run(Fresh.intern("T"));
   EXPECT_FALSE(Run.Trapped) << Run.TrapMessage;
   EXPECT_EQ(Run.Output, "144\n");
@@ -391,10 +392,11 @@ TEST(ObjectFile, LinkerRejectsOutOfRangeOperands) {
   std::string Error;
   auto Read = readObjectFile(Text, Fresh, Error);
   ASSERT_TRUE(Read.has_value()) << Error;
-  vm::Program Prog(Fresh);
-  Prog.addImage(std::move(*Read));
+  codegen::Linker Link(Fresh);
+  Link.addImage(std::move(*Read));
   if (Bad != std::string::npos) {
-    EXPECT_FALSE(Prog.link());
+    codegen::LinkedProgram Prog = Link.link();
+    EXPECT_FALSE(Prog.ok());
     ASSERT_FALSE(Prog.errors().empty());
     EXPECT_NE(Prog.errors()[0].find("out of range"), std::string::npos)
         << Prog.errors()[0];

@@ -44,10 +44,11 @@ struct E2E {
   vm::VM::RunResult runProgram(std::vector<codegen::ModuleImage> Images,
                                const std::string &Main,
                                std::vector<int64_t> Input = {}) {
-    vm::Program Prog(Interner);
+    codegen::Linker Link(Interner);
     for (auto &Image : Images)
-      Prog.addImage(std::move(Image));
-    if (!Prog.link()) {
+      Link.addImage(std::move(Image));
+    codegen::LinkedProgram Prog = Link.link();
+    if (!Prog.ok()) {
       vm::VM::RunResult R;
       R.Trapped = true;
       R.TrapMessage = "link failed: ";
@@ -55,7 +56,7 @@ struct E2E {
         R.TrapMessage += E + "; ";
       return R;
     }
-    vm::VM Machine(Prog);
+    vm::VM Machine(Prog, Interner);
     Machine.setInput(std::move(Input));
     return Machine.run(Interner.intern(Main));
   }

@@ -309,10 +309,11 @@ std::string runAtLevel(OptFixture &T, const std::string &Root,
     for (const CodeUnit &U : R.Image.Units)
       *InstrsOut += U.Code.size();
   }
-  vm::Program Prog(T.Interner);
-  Prog.addImage(std::move(R.Image));
-  EXPECT_TRUE(Prog.link());
-  vm::VM Machine(Prog);
+  codegen::Linker Link(T.Interner);
+  Link.addImage(std::move(R.Image));
+  codegen::LinkedProgram Prog = Link.link();
+  EXPECT_TRUE(Prog.ok());
+  vm::VM Machine(Prog, T.Interner);
   auto Run = Machine.run(T.Interner.intern(Root));
   EXPECT_FALSE(Run.Trapped) << Run.TrapMessage;
   return Run.Output;
@@ -357,17 +358,18 @@ TEST(OptTest, O2PreservesGeneratedSuiteBehaviour) {
 
     auto BuildAndRun = [&](opt::OptLevel Level) {
       driver::CompilerOptions O = T.options(Level);
-      vm::Program Prog(T.Interner);
+      codegen::Linker Link(T.Interner);
       for (size_t K = 0; K < Info.InterfaceCount; ++K) {
         auto R = T.compile(O, Spec.Name + "I" + std::to_string(K));
         EXPECT_TRUE(R.Success);
-        Prog.addImage(std::move(R.Image));
+        Link.addImage(std::move(R.Image));
       }
       auto R = T.compile(O, Spec.Name);
       EXPECT_TRUE(R.Success);
-      Prog.addImage(std::move(R.Image));
-      EXPECT_TRUE(Prog.link());
-      vm::VM Machine(Prog);
+      Link.addImage(std::move(R.Image));
+      codegen::LinkedProgram Prog = Link.link();
+      EXPECT_TRUE(Prog.ok());
+      vm::VM Machine(Prog, T.Interner);
       auto Run = Machine.run(T.Interner.intern(Spec.Name), 50'000'000);
       EXPECT_FALSE(Run.Trapped) << Run.TrapMessage;
       return Run.Output;

@@ -154,10 +154,11 @@ std::pair<std::string, size_t> runProgram(VirtualFileSystem &Files,
   size_t Instrs = 0;
   for (const CodeUnit &U : R.Image.Units)
     Instrs += U.Code.size();
-  vm::Program Prog(Interner);
-  Prog.addImage(std::move(R.Image));
-  EXPECT_TRUE(Prog.link());
-  vm::VM Machine(Prog);
+  codegen::Linker Link(Interner);
+  Link.addImage(std::move(R.Image));
+  codegen::LinkedProgram Prog = Link.link();
+  EXPECT_TRUE(Prog.ok());
+  vm::VM Machine(Prog, Interner);
   auto Run = Machine.run(Interner.intern(Main));
   EXPECT_FALSE(Run.Trapped) << Run.TrapMessage;
   return {Run.Output, Instrs};
@@ -203,12 +204,12 @@ TEST(Peephole, PreservesGeneratedSuiteProgram) {
     driver::CompilerOptions O;
     O.Level = Level;
     O.Processors = 8;
-    vm::Program Prog(Interner);
+    codegen::Linker Link(Interner);
     for (size_t K = 0; K < Info.InterfaceCount; ++K) {
       driver::ConcurrentCompiler C(Files, Interner, O);
       auto R = C.compile(Spec.Name + "I" + std::to_string(K));
       EXPECT_TRUE(R.Success);
-      Prog.addImage(std::move(R.Image));
+      Link.addImage(std::move(R.Image));
     }
     driver::ConcurrentCompiler C(Files, Interner, O);
     auto R = C.compile(Spec.Name);
@@ -216,9 +217,10 @@ TEST(Peephole, PreservesGeneratedSuiteProgram) {
     size_t Instrs = 0;
     for (const CodeUnit &U : R.Image.Units)
       Instrs += U.Code.size();
-    Prog.addImage(std::move(R.Image));
-    EXPECT_TRUE(Prog.link());
-    vm::VM Machine(Prog);
+    Link.addImage(std::move(R.Image));
+    codegen::LinkedProgram Prog = Link.link();
+    EXPECT_TRUE(Prog.ok());
+    vm::VM Machine(Prog, Interner);
     auto Run = Machine.run(Interner.intern(Spec.Name), 50'000'000);
     EXPECT_FALSE(Run.Trapped) << Run.TrapMessage;
     return std::make_pair(Run.Output, Instrs);

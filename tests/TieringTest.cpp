@@ -37,7 +37,8 @@ namespace {
 struct TierFixture {
   VirtualFileSystem Files;
   StringInterner Interner;
-  vm::Program Prog{Interner};
+  codegen::Linker Link{Interner};
+  codegen::LinkedProgram Prog;
   Symbol Main;
 
   void compile(const std::string &Name, const std::string &Source,
@@ -55,19 +56,20 @@ struct TierFixture {
     driver::SequentialCompiler C(Files, Interner, Options);
     driver::CompileResult R = C.compile(Name);
     ASSERT_TRUE(R.Success) << R.DiagnosticText;
-    Prog.addImage(std::move(R.Image));
-    ASSERT_TRUE(Prog.link());
+    Link.addImage(std::move(R.Image));
+    Prog = Link.link();
+    ASSERT_TRUE(Prog.ok());
     Main = Interner.intern(Name);
   }
 
   vm::VM::RunResult runWith(TierMode Mode, uint64_t MaxSteps = 100'000'000) {
-    vm::VM Machine(Prog, Mode);
+    vm::VM Machine(Prog, Interner, Mode);
     return Machine.run(Main, MaxSteps);
   }
 
   /// Every (op, kind, immediate) the translator emits for the program.
   std::multiset<std::tuple<T1Op, uint8_t, int64_t>> emitted() const {
-    vm::tier::TranslatedProgram Code(Prog.linked());
+    vm::tier::TranslatedProgram Code(Prog);
     std::multiset<std::tuple<T1Op, uint8_t, int64_t>> Ops;
     for (size_t U = 0; U < Prog.units().size(); ++U) {
       const vm::tier::TierUnit *TU = Code.units()[U];
@@ -280,7 +282,7 @@ TEST(Tiering, ConcurrentVmsShareOneTranslatedProgram) {
   ASSERT_FALSE(Expected.empty());
 
   auto Shared =
-      std::make_shared<const vm::tier::TranslatedProgram>(F.Prog.linked());
+      std::make_shared<const vm::tier::TranslatedProgram>(F.Prog);
   EXPECT_EQ(Shared->translated(), F.Prog.units().size());
   constexpr unsigned Threads = 4;
   constexpr unsigned RunsPerThread = 6;
@@ -291,7 +293,7 @@ TEST(Tiering, ConcurrentVmsShareOneTranslatedProgram) {
       for (unsigned R = 0; R < RunsPerThread; ++R) {
         vm::VM::RunResult Result;
         if (R % 2 == 0) {
-          vm::VM Machine(F.Prog.linked(), F.Interner, Shared);
+          vm::VM Machine(F.Prog, F.Interner, Shared);
           Result = Machine.run(F.Main);
         } else {
           Result = F.runWith(TierMode::Tier1);

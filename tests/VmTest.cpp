@@ -24,10 +24,11 @@ struct VmFixture {
     driver::SequentialCompiler C(Files, Interner);
     driver::CompileResult R = C.compile("T");
     EXPECT_TRUE(R.Success) << R.DiagnosticText;
-    vm::Program Prog(Interner);
-    Prog.addImage(std::move(R.Image));
-    EXPECT_TRUE(Prog.link());
-    vm::VM Machine(Prog);
+    codegen::Linker Link(Interner);
+    Link.addImage(std::move(R.Image));
+    codegen::LinkedProgram Prog = Link.link();
+    EXPECT_TRUE(Prog.ok());
+    vm::VM Machine(Prog, Interner);
     Machine.setInput(std::move(Input));
     return Machine.run(Interner.intern("T"));
   }
@@ -160,10 +161,11 @@ TEST(Vm, InfiniteLoopHitsStepLimit) {
   driver::SequentialCompiler C(F.Files, F.Interner);
   auto R = C.compile("T");
   ASSERT_TRUE(R.Success);
-  vm::Program Prog(F.Interner);
-  Prog.addImage(std::move(R.Image));
-  ASSERT_TRUE(Prog.link());
-  vm::VM Machine(Prog);
+  codegen::Linker Link(F.Interner);
+  Link.addImage(std::move(R.Image));
+  codegen::LinkedProgram Prog = Link.link();
+  ASSERT_TRUE(Prog.ok());
+  vm::VM Machine(Prog, F.Interner);
   auto Run = Machine.run(F.Interner.intern("T"), /*MaxSteps=*/10'000);
   EXPECT_TRUE(Run.Trapped);
   EXPECT_NE(Run.TrapMessage.find("step limit"), std::string::npos);
@@ -184,11 +186,12 @@ TEST(Vm, StepLimitIdenticalAcrossTiers) {
   driver::SequentialCompiler C(F.Files, F.Interner);
   auto R = C.compile("T");
   ASSERT_TRUE(R.Success);
-  vm::Program Prog(F.Interner);
-  Prog.addImage(std::move(R.Image));
-  ASSERT_TRUE(Prog.link());
+  codegen::Linker Link(F.Interner);
+  Link.addImage(std::move(R.Image));
+  codegen::LinkedProgram Prog = Link.link();
+  ASSERT_TRUE(Prog.ok());
   auto RunWith = [&](vm::tier::TierMode Mode, uint64_t MaxSteps) {
-    vm::VM Machine(Prog, Mode);
+    vm::VM Machine(Prog, F.Interner, Mode);
     return Machine.run(F.Interner.intern("T"), MaxSteps);
   };
   for (uint64_t Budget : {1u, 7u, 50u, 113u, 200u, 100'000u}) {
@@ -376,16 +379,17 @@ TEST(Vm, ModuleInitializationOrderFollowsImports) {
   driver::SequentialCompiler C2(F.Files, F.Interner);
   auto RB = C2.compile("B");
   ASSERT_TRUE(RB.Success) << RB.DiagnosticText;
-  vm::Program Prog(F.Interner);
-  Prog.addImage(std::move(RB.Image));
-  Prog.addImage(std::move(RA.Image));
-  ASSERT_TRUE(Prog.link());
+  codegen::Linker Link(F.Interner);
+  Link.addImage(std::move(RB.Image));
+  Link.addImage(std::move(RA.Image));
+  codegen::LinkedProgram Prog = Link.link();
+  ASSERT_TRUE(Prog.ok());
   ASSERT_EQ(Prog.initOrder().size(), 2u);
   // A initializes before B regardless of addImage order.
   EXPECT_EQ(Prog.images()[static_cast<size_t>(Prog.initOrder()[0])]
                 .ModuleName,
             F.Interner.intern("A"));
-  vm::VM Machine(Prog);
+  vm::VM Machine(Prog, F.Interner);
   auto Run = Machine.run(F.Interner.intern("B"));
   EXPECT_EQ(Run.Output, "1\n");
 }
@@ -399,9 +403,10 @@ TEST(Vm, UnresolvedCalleeIsALinkError) {
   driver::SequentialCompiler C(F.Files, F.Interner);
   auto R = C.compile("T");
   ASSERT_TRUE(R.Success) << R.DiagnosticText;
-  vm::Program Prog(F.Interner);
-  Prog.addImage(std::move(R.Image)); // Lib.mod never compiled/linked
-  EXPECT_FALSE(Prog.link());
+  codegen::Linker Link(F.Interner);
+  Link.addImage(std::move(R.Image)); // Lib.mod never compiled/linked
+  codegen::LinkedProgram Prog = Link.link();
+  EXPECT_FALSE(Prog.ok());
   ASSERT_FALSE(Prog.errors().empty());
   EXPECT_NE(Prog.errors()[0].find("unresolved procedure 'Lib.Go'"),
             std::string::npos);

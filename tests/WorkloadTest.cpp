@@ -188,24 +188,24 @@ TEST(WorkloadGenerator, GeneratedProgramRunsEndToEnd) {
 
   driver::CompilerOptions O;
   O.Processors = 8;
-  vm::Program Prog(Interner);
+  codegen::Linker Link(Interner);
   for (size_t K = 0; K < Info.InterfaceCount; ++K) {
     std::string Name = Spec.Name + "I" + std::to_string(K);
     driver::ConcurrentCompiler C(Files, Interner, O);
     driver::CompileResult R = C.compile(Name);
     ASSERT_TRUE(R.Success) << Name << ": "
                            << R.DiagnosticText.substr(0, 800);
-    Prog.addImage(std::move(R.Image));
+    Link.addImage(std::move(R.Image));
   }
   driver::ConcurrentCompiler C(Files, Interner, O);
   driver::CompileResult Main = C.compile(Spec.Name);
   ASSERT_TRUE(Main.Success) << Main.DiagnosticText.substr(0, 800);
-  Prog.addImage(std::move(Main.Image));
+  Link.addImage(std::move(Main.Image));
 
-  ASSERT_TRUE(Prog.link()) << (Prog.errors().empty()
-                                   ? std::string()
-                                   : Prog.errors()[0]);
-  vm::VM Machine(Prog);
+  codegen::LinkedProgram Prog = Link.link();
+  ASSERT_TRUE(Prog.ok()) << (Prog.errors().empty() ? std::string()
+                                                   : Prog.errors()[0]);
+  vm::VM Machine(Prog, Interner);
   auto Run = Machine.run(Interner.intern(Spec.Name), /*MaxSteps=*/20'000'000);
   EXPECT_FALSE(Run.Trapped) << Run.TrapMessage;
   // The module body prints an integer and a newline.
@@ -216,16 +216,17 @@ TEST(WorkloadGenerator, GeneratedProgramRunsEndToEnd) {
   VirtualFileSystem Files2;
   StringInterner Interner2;
   WorkloadGenerator(Files2).generate(Spec);
-  vm::Program Prog2(Interner2);
+  codegen::Linker Link2(Interner2);
   for (size_t K = 0; K < Info.InterfaceCount; ++K) {
     driver::ConcurrentCompiler CI(Files2, Interner2, O);
-    Prog2.addImage(
+    Link2.addImage(
         CI.compile(Spec.Name + "I" + std::to_string(K)).Image);
   }
   driver::ConcurrentCompiler CM(Files2, Interner2, O);
-  Prog2.addImage(CM.compile(Spec.Name).Image);
-  ASSERT_TRUE(Prog2.link());
-  vm::VM Machine2(Prog2);
+  Link2.addImage(CM.compile(Spec.Name).Image);
+  codegen::LinkedProgram Prog2 = Link2.link();
+  ASSERT_TRUE(Prog2.ok());
+  vm::VM Machine2(Prog2, Interner2);
   auto Run2 = Machine2.run(Interner2.intern(Spec.Name), 20'000'000);
   EXPECT_EQ(Run.Output, Run2.Output);
 }
