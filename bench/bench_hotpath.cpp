@@ -5,9 +5,9 @@
 //
 // Isolates the per-token / per-node costs the allocation-lean rework
 // targets: token block queue round trips (pooled vs heap blocks), arena
-// vs malloc object allocation, interner hits and misses, and symbol-table
-// inserts.  Emits BENCH_hotpath.json alongside the console report so the
-// numbers are tracked across PRs.
+// vs malloc object allocation, interner hits and misses, symbol-table
+// inserts, and the .mco codec in both directions.  Emits BENCH_hotpath.json
+// alongside the console report so the numbers are tracked across PRs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -155,6 +155,58 @@ void BM_ScopeInsert(benchmark::State &State) {
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) * N);
 }
 BENCHMARK(BM_ScopeInsert)->Unit(benchmark::kMicrosecond);
+
+//===--- .mco codec -------------------------------------------------------===//
+
+/// The Suite30 image, compiled once: every compile output, cache store,
+/// cache hit and daemon reply crosses the codec with images like it.
+const codegen::ModuleImage &suite30Image() {
+  static const codegen::ModuleImage Image = [] {
+    driver::CompileResult R = fixture().compileSeq("Suite30");
+    if (!R.Success) {
+      std::fprintf(stderr, "Suite30 failed to compile:\n%s",
+                   R.DiagnosticText.c_str());
+      std::exit(1);
+    }
+    return std::move(R.Image);
+  }();
+  return Image;
+}
+
+void BM_WriteObjectFile(benchmark::State &State) {
+  const codegen::ModuleImage &Image = suite30Image();
+  size_t Bytes = 0;
+  for (auto _ : State) {
+    std::string Text = codegen::writeObjectFile(Image, fixture().Interner);
+    Bytes = Text.size();
+    benchmark::DoNotOptimize(Text.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
+                          static_cast<int64_t>(Bytes));
+  State.counters["mco_bytes"] = static_cast<double>(Bytes);
+}
+BENCHMARK(BM_WriteObjectFile)->Unit(benchmark::kMicrosecond);
+
+/// Parses into a long-lived interner that already holds the image's
+/// spellings (a daemon's steady state on a cache hit).
+void BM_ReadObjectFile(benchmark::State &State) {
+  const std::string Text =
+      codegen::writeObjectFile(suite30Image(), fixture().Interner);
+  std::string Error;
+  for (auto _ : State) {
+    auto Image = codegen::readObjectFile(Text, fixture().Interner, Error);
+    if (!Image) {
+      State.SkipWithError(Error.c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(Image->Units.data());
+  }
+  State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
+                          static_cast<int64_t>(Text.size()));
+  State.counters["mco_bytes"] = static_cast<double>(Text.size());
+}
+BENCHMARK(BM_ReadObjectFile)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

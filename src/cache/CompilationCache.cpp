@@ -8,9 +8,8 @@
 #include "cache/CompilationCache.h"
 
 #include "codegen/ObjectFile.h"
+#include "codegen/ObjectFileText.h"
 #include "sched/ExecContext.h"
-
-#include <sstream>
 
 using namespace m2c;
 using namespace m2c::cache;
@@ -62,14 +61,10 @@ void CompilationCache::storeStream(const CacheKey &Key,
                                    const codegen::CodeUnit &Unit,
                                    const StringInterner &Names) {
   sched::ctx().charge(sched::CostKind::CacheLookup);
-  // Wrap the unit in a minimal single-unit image so writeObjectFile can
-  // serialize it unchanged.
-  codegen::ModuleImage Wrapper;
-  Wrapper.ModuleName = Unit.Module;
-  Wrapper.Units.push_back(Unit);
+  // The payload is a single-unit image naming the unit's module.
   std::string Text = StreamMagic;
-  Text += "\n";
-  Text += codegen::writeObjectFile(Wrapper, Names);
+  Text += '\n';
+  codegen::appendUnitObjectFile(Text, Unit, Names);
   Backend->save(Key.hex(), Text);
   Stats.add("cache.stream.store");
 }
@@ -86,41 +81,36 @@ CompilationCache::lookupModule(const CacheKey &Key, StringInterner &Names) {
     return std::nullopt;
   }
 
+  // Each header line is its tag and exactly N unquoted fields, split
+  // by the object file's own field rule.
+  std::vector<codegen::TextField> F;
+  auto Header = [&](std::string_view Tag, size_t N) {
+    if (!codegen::splitFields(takeLine(Rest), F) || F.size() != N + 1 ||
+        F[0].Raw != Tag)
+      return false;
+    for (const codegen::TextField &Fd : F)
+      if (Fd.Quoted)
+        return false;
+    return true;
+  };
+
   ModuleEntry Entry;
-  {
-    std::istringstream Header{std::string(takeLine(Rest))};
-    std::string Tag;
-    if (!(Header >> Tag >> Entry.ModTextHash) || Tag != "MODHASH") {
-      Stats.add("cache.module.malformed");
-      return std::nullopt;
-    }
-  }
-  {
-    std::istringstream Header{std::string(takeLine(Rest))};
-    std::string Tag;
-    if (!(Header >> Tag >> Entry.StreamCount) || Tag != "STREAMS") {
-      Stats.add("cache.module.malformed");
-      return std::nullopt;
-    }
-  }
   size_t NumDeps = 0;
-  {
-    std::istringstream Header{std::string(takeLine(Rest))};
-    std::string Tag;
-    if (!(Header >> Tag >> NumDeps) || Tag != "DEPS") {
-      Stats.add("cache.module.malformed");
-      return std::nullopt;
-    }
+  bool Ok = Header("MODHASH", 1);
+  if (Ok)
+    Entry.ModTextHash = F[1].Raw;
+  Ok = Ok && Header("STREAMS", 1) &&
+       codegen::parseNumber(F[1].Raw, Entry.StreamCount) &&
+       Header("DEPS", 1) && codegen::parseNumber(F[1].Raw, NumDeps);
+  for (size_t I = 0; Ok && I < NumDeps; ++I) {
+    Ok = Header("DEP", 2);
+    if (Ok)
+      Entry.Deps.push_back(
+          FileDep{std::string(F[2].Raw), std::string(F[1].Raw)});
   }
-  for (size_t I = 0; I < NumDeps; ++I) {
-    std::istringstream Line{std::string(takeLine(Rest))};
-    std::string Tag;
-    FileDep Dep;
-    if (!(Line >> Tag >> Dep.Hash >> Dep.Name) || Tag != "DEP") {
-      Stats.add("cache.module.malformed");
-      return std::nullopt;
-    }
-    Entry.Deps.push_back(std::move(Dep));
+  if (!Ok) {
+    Stats.add("cache.module.malformed");
+    return std::nullopt;
   }
 
   std::string Error;
@@ -140,14 +130,22 @@ void CompilationCache::storeModule(const CacheKey &Key,
                                    uint64_t StreamCount,
                                    const StringInterner &Names) {
   sched::ctx().charge(sched::CostKind::CacheLookup);
-  std::ostringstream OS;
-  OS << ModuleMagic << "\n";
-  OS << "MODHASH " << ModTextHash << "\n";
-  OS << "STREAMS " << StreamCount << "\n";
-  OS << "DEPS " << Deps.size() << "\n";
-  for (const FileDep &Dep : Deps)
-    OS << "DEP " << Dep.Hash << " " << Dep.Name << "\n";
-  OS << codegen::writeObjectFile(Image, Names);
-  Backend->save(Key.hex(), OS.str());
+  std::string Text = ModuleMagic;
+  Text += "\nMODHASH ";
+  Text += ModTextHash;
+  Text += "\nSTREAMS ";
+  Text += std::to_string(StreamCount);
+  Text += "\nDEPS ";
+  Text += std::to_string(Deps.size());
+  Text += '\n';
+  for (const FileDep &Dep : Deps) {
+    Text += "DEP ";
+    Text += Dep.Hash;
+    Text += ' ';
+    Text += Dep.Name;
+    Text += '\n';
+  }
+  codegen::appendObjectFile(Text, Image, Names);
+  Backend->save(Key.hex(), Text);
   Stats.add("cache.module.store");
 }

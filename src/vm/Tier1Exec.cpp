@@ -732,6 +732,13 @@ DispatchTop:
   }
   NEXT();
 
+  CASE(FusedIB) {
+    // The computed left operand is on the stack; the literal is B.
+    int64_t A = asOrdinal(Stack.back());
+    Stack.back() = Value(applyBin(I->Kind, A, I->B));
+  }
+  NEXT();
+
   CASE(FusedLLCmpBr) {
     int64_t A = asOrdinal(F->Slots[static_cast<size_t>(I->A)]);
     int64_t B = asOrdinal(F->Slots[static_cast<size_t>(I->B)]);

@@ -12,9 +12,9 @@
 //     group, so fusion never spans one.
 //  2. Grouping — a greedy left-to-right walk fuses the trap-free shapes
 //     the code generator and optimization passes leave behind
-//     (load/load/binop/store, load/imm/compare/branch, INC/DEC of a local
-//     or global, constant stores, local copies, value returns) and maps
-//     every other instruction one-to-one.
+//     (load/load/binop/store, load/imm/compare/branch, imm/binop on a
+//     computed value, INC/DEC of a local or global, constant stores, local
+//     copies, value returns) and maps every other instruction one-to-one.
 //  3. Emission — operands are specialized (strings to Symbols, callees to
 //     unit indexes, globals to (module, slot), branch targets to tier-1
 //     indexes) into one arena reservation holding the TierUnit header and
@@ -239,6 +239,11 @@ const TierUnit *m2c::vm::tier::translateUnit(const LinkedProgram &Prog,
         G.Op = T1Op::FusedICmpBr;
         G.Len = 3;
         G.Kind = static_cast<uint8_t>(CK);
+      } else if (MaxLen >= 2 &&
+                 immBinKindOf(U.Code[Pc + 1].Op, I0.A, BK)) {
+        G.Op = T1Op::FusedIB;
+        G.Len = 2;
+        G.Kind = static_cast<uint8_t>(BK);
       }
     } else if (MaxLen >= 3 && U.Code[Pc + 1].Op == Opcode::PushInt &&
                U.Code[Pc + 2].Op == Opcode::IncAddr) {
@@ -309,6 +314,9 @@ const TierUnit *m2c::vm::tier::translateUnit(const LinkedProgram &Prog,
       T->B = U.Code[G.Pc].A;
       T->C = PcMap[static_cast<size_t>(U.Code[G.Pc + 2].A)];
       assert(T->C >= 0 && "branch target is not a group head");
+      break;
+    case T1Op::FusedIB: // PushInt k; bin
+      T->B = U.Code[G.Pc].A;
       break;
     case T1Op::FusedIncLocal: // LoadLocalRef a; PushInt k; IncAddr
       T->A = U.Code[G.Pc].A;

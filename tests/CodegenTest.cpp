@@ -6,12 +6,17 @@
 //===----------------------------------------------------------------------===//
 
 #include "codegen/ObjectFile.h"
+#include "codegen/ObjectFileText.h"
 #include "driver/SequentialCompiler.h"
 #include "vm/VM.h"
+#include "workload/WorkloadGenerator.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 
 using namespace m2c;
 using namespace m2c::codegen;
@@ -403,6 +408,229 @@ TEST(ObjectFile, LinkerRejectsOutOfRangeOperands) {
   }
 }
 
+//===----------------------------------------------------------------------===//
+// Object-file format pins
+//===----------------------------------------------------------------------===//
+
+/// One hand-built image that exercises every field of the .mco format:
+/// integer extremes, every real class, every escape, all four param
+/// kinds, nested descriptors, and empty lists and spellings.
+ModuleImage goldenImage(StringInterner &Names) {
+  constexpr int64_t I64Min = std::numeric_limits<int64_t>::min();
+  constexpr int64_t I64Max = std::numeric_limits<int64_t>::max();
+  constexpr int32_t I32Min = std::numeric_limits<int32_t>::min();
+  constexpr int32_t I32Max = std::numeric_limits<int32_t>::max();
+  constexpr uint32_t U32Max = std::numeric_limits<uint32_t>::max();
+  const std::string Nasty = "q\"b\\n\nc\x01" "d\x7f" "e";
+
+  ModuleImage Image;
+  Image.ModuleName = Names.intern("Golden");
+  Image.GlobalCount = U32Max;
+  Image.Imports = {Names.intern("Dep"), Names.intern(Nasty)};
+  Image.GlobalDescs = {0, -1, I32Min, I32Max};
+  TypeDesc Record;
+  Record.DescKind = TypeDesc::Kind::Record;
+  Record.Fields = {0, 2, I32Min};
+  TypeDesc Array;
+  Array.DescKind = TypeDesc::Kind::Array;
+  Array.Count = I64Max;
+  Array.Element = 1; // An array of the record above.
+  TypeDesc Negative;
+  Negative.DescKind = TypeDesc::Kind::Array;
+  Negative.Count = I64Min;
+  Negative.Element = I32Min;
+  Image.Descs = {TypeDesc{}, Record, Array, Negative};
+  for (TypeDesc::Kind K : {TypeDesc::Kind::Real, TypeDesc::Kind::Set,
+                           TypeDesc::Kind::Pointer, TypeDesc::Kind::ProcVal}) {
+    TypeDesc D;
+    D.DescKind = K;
+    D.Count = -1;
+    Image.Descs.push_back(D);
+  }
+
+  CodeUnit Body;
+  Body.Module = Image.ModuleName;
+  Body.QualifiedName = "Golden";
+  Body.IsModuleBody = true;
+  Body.Weight = I64Min;
+  Body.Callees = {CalleeRef{Image.ModuleName, Names.intern("P")},
+                  CalleeRef{Names.intern("Dep"), Names.intern(Nasty)}};
+  Body.Globals = {GlobalRef{Names.intern("Dep"), I32Min},
+                  GlobalRef{Image.ModuleName, I32Max}};
+  Body.Descs = {Array, Record};
+  Body.Strings = {Names.intern(""), Names.intern(Nasty)};
+  const double Reals[] = {0.0,
+                          -0.0,
+                          0.1,
+                          -1e300,
+                          1.0,
+                          std::numeric_limits<double>::denorm_min(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()};
+  for (double R : Reals) {
+    auto Pc = static_cast<int64_t>(Body.Code.size());
+    Body.Code.push_back(Instr{Opcode::PushReal, Pc, -1000003 * (Pc + 1), R});
+  }
+  Body.Code.push_back(Instr{Opcode::PushInt, I64Min, I64Max, 0.0});
+  Body.Code.push_back(Instr{Opcode::Trap, -1, 0, 0.0});
+
+  CodeUnit Proc;
+  Proc.Module = Image.ModuleName;
+  Proc.Name = Names.intern("P");
+  Proc.QualifiedName = "Golden.P\\\n\"";
+  Proc.ProcId = I32Max;
+  Proc.NestLevel = U32Max;
+  Proc.FrameSize = U32Max;
+  Proc.Weight = I64Max;
+  for (bool IsVar : {false, true})
+    for (bool IsAggregate : {false, true})
+      Proc.Params.push_back(ParamDesc{IsVar, IsAggregate});
+  Proc.Code.push_back(Instr{Opcode::Return, 0, 0, 0.0});
+
+  CodeUnit Empty; // Every list empty, every name the empty spelling.
+  Empty.Module = Names.intern("");
+  Empty.ProcId = I32Min;
+
+  Image.Units = {Body, Proc, Empty};
+  return Image;
+}
+
+// The expected text of goldenImage(), as rendered by the iostream-based
+// writer the format was first defined by.  A codec change that moves one
+// byte of any field fails here.
+const char *const GoldenText = R"mco(MCOBJ 1
+MODULE "Golden"
+GLOBALS 4294967295
+IMPORTS 2 "Dep" "q\"b\\n\nc\x01d\x7fe"
+GDESCS 4 0 -1 -2147483648 2147483647
+DESCS 8
+DESC 0 0 -1 0
+DESC 6 0 -1 3 0 2 -2147483648
+DESC 5 9223372036854775807 1 0
+DESC 5 -9223372036854775808 -2147483648 0
+DESC 1 -1 -1 0
+DESC 2 -1 -1 0
+DESC 3 -1 -1 0
+DESC 4 -1 -1 0
+UNITS 3
+UNIT "Golden" "Golden" "" -1 1 0 0 -9223372036854775808
+PARAMS 0
+CALLEES 2
+CALLEE "Golden" "P"
+CALLEE "Dep" "q\"b\\n\nc\x01d\x7fe"
+GLOBALREFS 2
+GLOBALREF "Dep" -2147483648
+GLOBALREF "Golden" 2147483647
+UDESCS 2
+DESC 5 9223372036854775807 1 0
+DESC 6 0 -1 3 0 2 -2147483648
+STRINGS 2
+STRING ""
+STRING "q\"b\\n\nc\x01d\x7fe"
+CODE 11
+PushReal 0 -1000003 0x0p+0
+PushReal 1 -2000006 -0x0p+0
+PushReal 2 -3000009 0x1.999999999999ap-4
+PushReal 3 -4000012 -0x1.7e43c8800759cp+996
+PushReal 4 -5000015 0x1p+0
+PushReal 5 -6000018 0x0.0000000000001p-1022
+PushReal 6 -7000021 inf
+PushReal 7 -8000024 -inf
+PushReal 8 -9000027 nan
+PushInt -9223372036854775808 9223372036854775807 0x0p+0
+Trap -1 0 0x0p+0
+UNIT "Golden.P\\\n\"" "Golden" "P" 2147483647 0 4294967295 4294967295 9223372036854775807
+PARAMS 4 . a v va
+CALLEES 0
+GLOBALREFS 0
+UDESCS 0
+STRINGS 0
+CODE 1
+Return 0 0 0x0p+0
+UNIT "" "" "" -2147483648 0 0 0 0
+PARAMS 0
+CALLEES 0
+GLOBALREFS 0
+UDESCS 0
+STRINGS 0
+CODE 0
+END
+)mco";
+
+TEST(ObjectFile, GoldenBytes) {
+  StringInterner Names;
+  ModuleImage Image = goldenImage(Names);
+  std::string Text = writeObjectFile(Image, Names);
+  EXPECT_EQ(Text, GoldenText);
+
+  // The parsed image renders the same bytes again.
+  StringInterner Fresh;
+  std::string Error;
+  auto Read = readObjectFile(Text, Fresh, Error);
+  ASSERT_TRUE(Read.has_value()) << Error;
+  EXPECT_EQ(writeObjectFile(*Read, Fresh), GoldenText);
+  EXPECT_EQ(Read->Units[0].Code[1].F, 0.0);
+  EXPECT_TRUE(std::signbit(Read->Units[0].Code[1].F)); // -0.0 survives.
+  EXPECT_TRUE(std::isnan(Read->Units[0].Code[8].F));
+
+  EXPECT_EQ(writeObjectFile(ModuleImage{}, Names),
+            "MCOBJ 1\nMODULE \"\"\nGLOBALS 0\nIMPORTS 0\nGDESCS 0\n"
+            "DESCS 0\nUNITS 0\nEND\n");
+}
+
+// The append entry points render exactly what writeObjectFile renders,
+// after whatever the buffer already holds.
+TEST(ObjectFile, AppendEntryPointsMatchWriteObjectFile) {
+  StringInterner Names;
+  ModuleImage Image = goldenImage(Names);
+  std::string Out = "prefix\n";
+  appendObjectFile(Out, Image, Names);
+  EXPECT_EQ(Out, "prefix\n" + writeObjectFile(Image, Names));
+
+  for (const CodeUnit &U : Image.Units) {
+    ModuleImage Wrapper;
+    Wrapper.ModuleName = U.Module;
+    Wrapper.Units.push_back(U);
+    std::string Unit;
+    appendUnitObjectFile(Unit, U, Names);
+    EXPECT_EQ(Unit, writeObjectFile(Wrapper, Names)) << U.QualifiedName;
+  }
+}
+
+// write -> read -> write is the identity over the paper's 37-program suite
+// and the compute programs, at -O0 and -O2.
+TEST(ObjectFile, SuiteRoundTripIsIdentity) {
+  VirtualFileSystem Files;
+  StringInterner Names;
+  workload::WorkloadGenerator Gen(Files);
+  std::vector<std::string> Roots;
+  for (const workload::ModuleSpec &Spec :
+       workload::WorkloadGenerator::paperSuite())
+    Roots.push_back(Gen.generate(Spec).Name);
+  for (uint32_t Seed : {1u, 7u}) {
+    workload::ComputeSpec Spec;
+    Spec.Name = "Compute" + std::to_string(Seed);
+    Spec.Seed = Seed;
+    Roots.push_back(Gen.generateCompute(Spec).Name);
+  }
+  ASSERT_EQ(Roots.size(), 39u);
+  for (opt::OptLevel Level : {opt::OptLevel::O0, opt::OptLevel::O2})
+    for (const std::string &Root : Roots) {
+      driver::CompilerOptions Options;
+      Options.Level = Level;
+      driver::SequentialCompiler C(Files, Names, Options);
+      driver::CompileResult R = C.compile(Root);
+      ASSERT_TRUE(R.Success) << Root << ": " << R.DiagnosticText;
+      std::string Text = writeObjectFile(R.Image, Names);
+      StringInterner Fresh;
+      std::string Error;
+      auto Read = readObjectFile(Text, Fresh, Error);
+      ASSERT_TRUE(Read.has_value()) << Root << ": " << Error;
+      EXPECT_EQ(writeObjectFile(*Read, Fresh), Text) << Root;
+    }
+}
+
 TEST(ObjectFile, RejectsCorruptInput) {
   StringInterner Names;
   std::string Error;
@@ -418,6 +646,87 @@ TEST(ObjectFile, RejectsCorruptInput) {
   std::string Text = writeObjectFile(F.Image, F.Interner);
   EXPECT_FALSE(
       readObjectFile(Text.substr(0, Text.size() / 2), Names, Error));
+}
+
+// The reader is strict: every number must fill its field and fit its
+// type, every line must carry exactly its fields, and a count larger than
+// the lines that follow fails when the lines run out.
+TEST(ObjectFile, RejectsOutOfRangeAndMalformedFields) {
+  const std::string Valid = "MCOBJ 1\n"
+                            "MODULE \"M\"\n"
+                            "GLOBALS 1\n"
+                            "IMPORTS 0\n"
+                            "GDESCS 1 0\n"
+                            "DESCS 1\n"
+                            "DESC 0 0 -1 0\n"
+                            "UNITS 1\n"
+                            "UNIT \"M\" \"M\" \"\" -1 1 0 2 5\n"
+                            "PARAMS 1 v\n"
+                            "CALLEES 0\n"
+                            "GLOBALREFS 1\n"
+                            "GLOBALREF \"M\" 0\n"
+                            "UDESCS 0\n"
+                            "STRINGS 1\n"
+                            "STRING \"s\"\n"
+                            "CODE 2\n"
+                            "PushInt 1 0 0x0p+0\n"
+                            "Halt 0 0 0x0p+0\n"
+                            "END\n";
+  StringInterner Names;
+  std::string Error;
+  ASSERT_TRUE(readObjectFile(Valid, Names, Error)) << Error;
+  EXPECT_EQ(writeObjectFile(*readObjectFile(Valid, Names, Error), Names),
+            Valid);
+
+  struct Edit {
+    const char *From, *To;
+  };
+  for (const Edit &E : {
+           Edit{"GLOBALS 1", "GLOBALS 4294967296"}, // uint32 overflow
+           Edit{"GLOBALS 1", "GLOBALS -1"},
+           Edit{"GLOBALS 1", "GLOBALS 1x"},        // trailing junk
+           Edit{"GLOBALS 1", "GLOBALS 1 2"},       // extra field
+           Edit{"GLOBALS 1", "GLOBALS +1"},
+           Edit{"GDESCS 1 0", "GDESCS 1 2147483648"},
+           Edit{"GDESCS 1 0", "GDESCS 2 0"},
+           Edit{"DESC 0 0 -1 0", "DESC 7 0 -1 0"}, // no such kind
+           Edit{"DESC 0 0 -1 0", "DESC 0 0 -1 1"},
+           Edit{"DESC 0 0 -1 0", "DESC 0 9223372036854775808 -1 0"},
+           Edit{"-1 1 0 2 5", "-1 2 0 2 5"},       // module-body flag
+           Edit{"-1 1 0 2 5", "2147483648 1 0 2 5"},
+           Edit{"PARAMS 1 v", "PARAMS 1 x"},
+           Edit{"PARAMS 1 v", "PARAMS 99999999999 v"},
+           Edit{"GLOBALREF \"M\" 0", "GLOBALREF M 0"}, // unquoted name
+           Edit{"STRING \"s\"", "STRING \"s\"t"},
+           Edit{"STRING \"s\"", "STRING \"\\x4\""}, // short escape
+           Edit{"STRING \"s\"", "STRING \"\\xzz\""},
+           Edit{"STRING \"s\"", "STRING \"\\q\""},
+           Edit{"CODE 2", "CODE 99999999999"},
+           Edit{"CODE 2", "CODE 18446744073709551616"},
+           Edit{"PushInt 1 0", "PushInt 9223372036854775808 0"},
+           Edit{"PushInt 1 0", "PushInt 1 -9223372036854775809"},
+           Edit{"PushInt 1 0 0x0p+0", "PushInt 1 0 0x0p+0z"},
+           Edit{"PushInt 1 0 0x0p+0", "PushInt 1 0 \"0x0p+0\""},
+           // Reals strtod would take but the writer never renders.
+           Edit{"PushInt 1 0 0x0p+0", "PushInt 1 0  0x0p+0"},
+           Edit{"PushInt 1 0 0x0p+0", "PushInt 1 0 \t0x1p+0"},
+           Edit{"PushInt 1 0 0x0p+0", "PushInt 1 0 +0x1p+0"},
+           Edit{"PushInt 1 0 0x0p+0", "PushInt 1 0 0X1P+0"},
+           Edit{"PushInt 1 0 0x0p+0", "PushInt 1 0 0x2p+0"},
+           Edit{"PushInt 1 0 0x0p+0", "PushInt 1 0 1e5"},
+           Edit{"PushInt 1 0 0x0p+0", "PushInt 1 0 INF"},
+           Edit{"PushInt 1 0 0x0p+0", "PushInt 1 0 nan(1)"},
+           Edit{"PushInt 1 0 0x0p+0", "PushInt 1 0 "},
+           Edit{"PushInt 1 0 0x0p+0", "NoSuchOp 1 0 0x0p+0"},
+       }) {
+    std::string Text = Valid;
+    size_t At = Text.find(E.From);
+    ASSERT_NE(At, std::string::npos) << E.From;
+    Text.replace(At, std::strlen(E.From), E.To);
+    StringInterner Fresh;
+    EXPECT_FALSE(readObjectFile(Text, Fresh, Error)) << E.To;
+    EXPECT_FALSE(Error.empty()) << E.To;
+  }
 }
 
 } // namespace

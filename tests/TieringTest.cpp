@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -89,11 +90,14 @@ bool hasOp(const std::multiset<std::tuple<T1Op, uint8_t, int64_t>> &Ops,
   return false;
 }
 
-/// True when a fused load/immediate binop with kind \p K was emitted.
+/// True when a fused immediate binop with kind \p K was emitted; \p Forms
+/// narrows the search to some of the three fused immediate forms.
 bool hasFusedBin(const std::multiset<std::tuple<T1Op, uint8_t, int64_t>> &Ops,
-                 BinKind K) {
+                 BinKind K,
+                 std::initializer_list<T1Op> Forms = {
+                     T1Op::FusedLIB, T1Op::FusedLIBS, T1Op::FusedIB}) {
   for (const auto &[O, Kind, B] : Ops)
-    if ((O == T1Op::FusedLIB || O == T1Op::FusedLIBS) &&
+    if (std::find(Forms.begin(), Forms.end(), O) != Forms.end() &&
         Kind == static_cast<uint8_t>(K))
       return true;
   return false;
@@ -134,8 +138,8 @@ void sweepStepBudgets(TierFixture &F) {
 
 /// One program with every fused shape: INC/DEC of a local (and of the FOR
 /// control variable) and of a global, DIV/MOD by a positive literal with
-/// and without a store, and IF on a computed value compared with a
-/// literal.
+/// and without a store and on a computed value, and IF on a computed value
+/// compared with a literal.
 const char *const FusedShapes =
     "MODULE T;\nVAR g, h: INTEGER;\n"
     "PROCEDURE Work(n: INTEGER): INTEGER;\n"
@@ -148,6 +152,7 @@ const char *const FusedShapes =
     "    acc := acc + x DIV 4;\n"
     "    y := x DIV 3; x := x MOD 1000;\n"
     "    IF (x + i) = 12 THEN DEC(acc, 2) END;\n"
+    "    acc := acc + (x + i) MOD 5 + (y * 2) DIV 3 + (x - i) * 3;\n"
     "    INC(g); DEC(h, 2); acc := acc + y\n"
     "  END;\n"
     "  RETURN acc\n"
@@ -206,8 +211,12 @@ TEST(Tiering, FusedShapesStepBudgetSweep) {
   EXPECT_TRUE(hasOp(Ops, T1Op::FusedIncLocal));
   EXPECT_TRUE(hasOp(Ops, T1Op::FusedIncGlobal));
   EXPECT_TRUE(hasOp(Ops, T1Op::FusedICmpBr));
-  EXPECT_TRUE(hasFusedBin(Ops, BinKind::Div));
-  EXPECT_TRUE(hasFusedBin(Ops, BinKind::Mod));
+  for (BinKind K : {BinKind::Div, BinKind::Mod})
+    EXPECT_TRUE(hasFusedBin(Ops, K, {T1Op::FusedLIB, T1Op::FusedLIBS}))
+        << "no fused local-operand binop of kind " << static_cast<int>(K);
+  for (BinKind K : {BinKind::Mod, BinKind::Div, BinKind::Mul})
+    EXPECT_TRUE(hasFusedBin(Ops, K, {T1Op::FusedIB}))
+        << "no fused computed-operand binop of kind " << static_cast<int>(K);
   EXPECT_FALSE(hasOp(Ops, T1Op::IncAddr)) << "an INC/DEC stayed unfused";
   expectSameResult(F.runWith(TierMode::Tier0Only), F.runWith(TierMode::Tier1),
                    "fused shapes");
@@ -236,14 +245,17 @@ TEST(Tiering, TrapPointsIdenticalInTier1) {
 }
 
 // DIV and MOD by a literal that is not positive can trap (or overflow),
-// so they must stay unfused and trap at their own tier-0 pc.
+// so they must stay unfused and trap at their own tier-0 pc, whether the
+// left operand is a local or a computed value.
 TEST(Tiering, NonPositiveLiteralDivisorsStayUnfused) {
   struct Case {
     const char *Expr;
     bool Traps;
   };
-  for (const Case &C : {Case{"x DIV 0", true}, Case{"x MOD 0", true},
-                        Case{"x DIV (-1)", false}}) {
+  for (const Case &C :
+       {Case{"x DIV 0", true}, Case{"x MOD 0", true},
+        Case{"x DIV (-1)", false}, Case{"(x + i) DIV 0", true},
+        Case{"(x + i) MOD 0", true}, Case{"(x + i) DIV (-1)", false}}) {
     TierFixture F;
     F.compile("T",
               std::string("MODULE T;\nPROCEDURE P(n: INTEGER): INTEGER;\n"
